@@ -360,11 +360,16 @@ int main(int argc, char** argv) {
     std::cerr << "optimizer: group-bys=" << os.insert_group_by
               << " outer-joins=" << os.insert_outer_join
               << " joins=" << os.insert_join
+              << " lifted-products=" << os.lift_product
+              << " outer-maps-through-group-by="
+              << os.outer_map_through_group_by
+              << " outer-map-pushes=" << os.push_outer_map
               << " path-fusions=" << os.fuse_path_step << "\n"
               << "executor: hash-joins=" << es.hash_joins
               << " sort-joins=" << es.sort_joins
               << " range-joins=" << es.range_joins
               << " nl-joins=" << es.nested_loop_joins
+              << " composite-joins=" << es.composite_joins
               << " group-bys=" << es.group_bys
               << " index-reuses=" << es.join_index_reuses
               << " source-tuples=" << es.source_tuples

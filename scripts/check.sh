@@ -27,6 +27,15 @@ if [[ "${1:-}" != "--sanitize-only" ]]; then
   XQC_SCALE="${XQC_BENCH_SMOKE_SCALE:-0.1}" ./build/bench/bench_axes \
     --benchmark_min_time=0.01 >/dev/null
 
+  echo "=== bench smoke run (bench_table4, bench_table5, minimal time) ==="
+  # The paper's join tables: every join column of Table 4 (XMark Q8-Q20)
+  # and Table 5 (Clio N2-N4), so a plan that stops unnesting or a join
+  # that stops indexing fails here as an error, not as a slow bench.
+  XQC_SCALE="${XQC_BENCH_SMOKE_SCALE:-0.1}" ./build/bench/bench_table4 \
+    --benchmark_min_time=0.01 >/dev/null
+  XQC_SCALE="${XQC_BENCH_SMOKE_SCALE:-0.1}" ./build/bench/bench_table5 \
+    --benchmark_min_time=0.01 >/dev/null
+
   echo "=== batched-execution parity sweep + bench_batch smoke ==="
   # The batch-size ablations: corpus + property byte-parity sweeps over
   # {1,2,3,7,1024}, the ExecStats invariance check, and the guard

@@ -475,6 +475,79 @@ void CollectOuterFieldUses(const Op& op, std::vector<Symbol>* out) {
   }
 }
 
+void FlattenConjuncts(const Op& pred, std::vector<const Op*>* out) {
+  if (pred.kind == OpKind::kCall &&
+      ((pred.name == Symbol("op:and") && pred.inputs.size() == 2) ||
+       (pred.name == Symbol("fn:boolean") && pred.inputs.size() == 1))) {
+    for (const OpPtr& i : pred.inputs) FlattenConjuncts(*i, out);
+    return;
+  }
+  out->push_back(&pred);
+}
+
+void CollectIntroducedFields(const Op& op, std::set<Symbol>* out) {
+  std::set<Symbol> accessed;
+  CollectFieldUses(op, &accessed, out);
+}
+
+TupleLayout TableLayout(const Op& op) {
+  TupleLayout out;
+  auto add = [&out](const TupleLayout& l) {
+    out.fields.insert(l.fields.begin(), l.fields.end());
+    out.open = out.open || l.open;
+  };
+  switch (op.kind) {
+    case OpKind::kEmptyTuples:
+      break;
+    case OpKind::kTupleConstruct:
+      out.fields.insert(op.fields.begin(), op.fields.end());
+      break;
+    case OpKind::kTupleConcat:
+    case OpKind::kProduct:
+    case OpKind::kJoin:
+      for (const OpPtr& i : op.inputs) add(TableLayout(*i));
+      break;
+    case OpKind::kSelect:
+    case OpKind::kOrderBy:
+      return TableLayout(*op.inputs[0]);
+    case OpKind::kLOuterJoin:
+      add(TableLayout(*op.inputs[0]));
+      add(TableLayout(*op.inputs[1]));
+      out.fields.insert(op.name);
+      break;
+    case OpKind::kOMap:
+    case OpKind::kMapIndex:
+    case OpKind::kMapIndexStep:
+    case OpKind::kGroupBy:
+      add(TableLayout(*op.inputs[0]));
+      out.fields.insert(op.name);
+      break;
+    case OpKind::kMap: {
+      // The dependent builds each output tuple; its IN is the input tuple.
+      TupleLayout d = TableLayout(*op.deps[0]);
+      out.fields = std::move(d.fields);
+      if (d.open) add(TableLayout(*op.inputs[0]));
+      break;
+    }
+    case OpKind::kMapConcat:
+    case OpKind::kOMapConcat:
+      // Input tuple ++ dependent tuple; the dependent's IN is the input
+      // tuple, already part of the output.
+      add(TableLayout(*op.inputs[0]));
+      for (Symbol f : TableLayout(*op.deps[0]).fields) out.fields.insert(f);
+      if (op.kind == OpKind::kOMapConcat) out.fields.insert(op.name);
+      break;
+    case OpKind::kMapFromItem:
+      // The dependent's IN is an item, so only its own fields appear.
+      out.fields = TableLayout(*op.deps[0]).fields;
+      break;
+    default:
+      out.open = true;  // IN itself, or a shape with no static layout
+      break;
+  }
+  return out;
+}
+
 void CollectFreeInFields(const Op& op, std::vector<Symbol>* out) {
   if (op.kind == OpKind::kFieldAccess && op.inputs[0]->kind == OpKind::kIn) {
     out->push_back(op.name);

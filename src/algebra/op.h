@@ -13,6 +13,7 @@
 #define XQC_ALGEBRA_OP_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,24 @@ void CollectFreeInFields(const Op& op, std::vector<Symbol>* out);
 /// (tuple-constructor fields, index/null/aggregate fields). Sound because
 /// compiled plans use globally unique field names.
 void CollectOuterFieldUses(const Op& op, std::vector<Symbol>* out);
+
+/// Flattens a predicate's op:and conjunction into its conjunct plans;
+/// fn:boolean wrappers are transparent.
+void FlattenConjuncts(const Op& pred, std::vector<const Op*>* out);
+
+/// Collects the fields the plan introduces itself: tuple-constructor fields
+/// and index / null-flag / aggregate fields. With globally unique field
+/// names these can never come from the enclosing IN tuple.
+void CollectIntroducedFields(const Op& op, std::set<Symbol>* out);
+
+/// The static layout of a table-valued plan's output tuples: the fields
+/// bound inside the plan, and whether the enclosing IN tuple's fields
+/// (known only at run time) pass through as well.
+struct TupleLayout {
+  std::set<Symbol> fields;
+  bool open = false;
+};
+TupleLayout TableLayout(const Op& op);
 
 }  // namespace xqc
 

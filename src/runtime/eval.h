@@ -12,6 +12,7 @@
 
 #include "src/algebra/op.h"
 #include "src/compile/compiler.h"
+#include "src/opt/key_class.h"
 #include "src/runtime/context.h"
 #include "src/runtime/iterator.h"
 #include "src/runtime/tuple.h"
@@ -60,6 +61,7 @@ struct ExecStats {
   int64_t range_joins = 0;  // inequality sort joins
   int64_t nested_loop_joins = 0;
   int64_t group_bys = 0;
+  int64_t composite_joins = 0;     // equality indexes on >1 conjunct
   int64_t join_index_reuses = 0;   // cached inner-index hits
   int64_t specialized_joins = 0;   // statically typed key modes used
   int64_t source_tuples = 0;       // tuples produced by MapFromItem
@@ -89,10 +91,13 @@ class MaterializedInner;       // joins.h: Figure 6 equality index
 class MaterializedRangeInner;  // joins.h: ordered range index
 
 /// The physical plan chosen for one Join / LOuterJoin execution: which
-/// conjunct (if any) drives an index, the prebuilt inner index, and the
-/// residual conjuncts. Built once per join execution (PlanJoinStrategy)
-/// and then probed per left tuple (ProbeJoinTuple) — the same machinery
-/// backs the materializing and the streaming join.
+/// conjuncts (if any) drive an index, the prebuilt inner index, and the
+/// residual conjuncts. The key analysis is static — each key's side comes
+/// from the fields the two input plans bind (TableLayout), never from the
+/// data — and is done once per Join op; PlanJoinStrategy then builds (or
+/// reuses) the index per execution and ProbeJoinTuple probes it per left
+/// tuple. The same machinery backs the materializing and the streaming
+/// join.
 struct JoinStrategy {
   enum class Kind {
     kNestedLoop,  // full predicate per concatenated tuple
@@ -101,7 +106,11 @@ struct JoinStrategy {
     kInequality,  // range sort join
   };
   Kind kind = Kind::kNestedLoop;
-  const Op* left_key = nullptr;
+  /// Key plans, pairwise: every indexable equality conjunct (one component
+  /// each of the composite Figure 6 key), or the single inequality key.
+  std::vector<const Op*> left_keys;
+  std::vector<const Op*> right_keys;
+  std::vector<KeyMode> modes;  // per equality component
   CompOp comp = CompOp::kEq;
   std::vector<const Op*> residual;  // non-key conjuncts
   std::shared_ptr<const MaterializedInner> eq_index;
@@ -155,13 +164,13 @@ class PlanEvaluator {
 
   /// Join machinery shared by EvalJoin and the streaming JoinIter.
   /// MaterializeJoinRight evaluates (or fetches from cache) the inner
-  /// side; PlanJoinStrategy picks the physical algorithm using the field
-  /// layout of a representative left tuple; ProbeJoinTuple appends all
+  /// side; PlanJoinStrategy picks the physical algorithm from the plan's
+  /// static key analysis and builds its index; ProbeJoinTuple appends all
   /// output rows for one left tuple.
   Result<std::shared_ptr<const Table>> MaterializeJoinRight(
       const Op& op, const EvalCtx& c, bool* cacheable);
   Result<JoinStrategy> PlanJoinStrategy(
-      const Op& op, const EvalCtx& c, const Tuple& first_left,
+      const Op& op, const EvalCtx& c,
       const std::shared_ptr<const Table>& right, bool right_cacheable);
   Status ProbeJoinTuple(const Op& op, const JoinStrategy& strategy,
                         const EvalCtx& c, const Tuple& left,
@@ -190,6 +199,9 @@ class PlanEvaluator {
 
  private:
   Result<Table> EvalJoin(const Op& op, const EvalCtx& c, bool outer);
+  /// The static part of PlanJoinStrategy (kind, keys, modes, residual),
+  /// computed once per Join op and cached in join_keys_.
+  const JoinStrategy& AnalyzeJoin(const Op& op);
   Result<Table> EvalGroupBy(const Op& op, const EvalCtx& c);
   Result<Table> EvalOrderBy(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalCall(const Op& op, const EvalCtx& c);
@@ -219,6 +231,7 @@ class PlanEvaluator {
   };
   std::unordered_map<const Op*, std::shared_ptr<const Table>> table_cache_;
   std::unordered_map<const Op*, CachedInner> inner_cache_;
+  std::unordered_map<const Op*, JoinStrategy> join_keys_;
 };
 
 }  // namespace xqc

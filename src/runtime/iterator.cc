@@ -659,24 +659,18 @@ class MapFromItemIter : public TupleIterator {
 
 /// Join / LOuterJoin: materializes and indexes the right (build) side at
 /// Open — reusing the evaluator's table/index caches — then probes with
-/// left tuples as they stream in. The first left tuple is peeked so the
-/// join strategy can inspect its field layout, exactly like the
-/// materializing EvalJoin does with left[0].
+/// left tuples as they stream in.
 class JoinIter : public TupleIterator {
  public:
   JoinIter(PlanEvaluator* ev, const Op* op, const EvalCtx& c,
            TupleIteratorPtr left, bool outer)
       : ev_(ev), op_(op), c_(c), left_(std::move(left)), outer_(outer) {}
   Status Open() override {
-    XQC_ASSIGN_OR_RETURN(has_peeked_, left_->Next(&peeked_));
-    left_done_ = !has_peeked_;
     bool cacheable = false;
     XQC_ASSIGN_OR_RETURN(right_,
                          ev_->MaterializeJoinRight(*op_, c_, &cacheable));
-    XQC_ASSIGN_OR_RETURN(
-        strategy_, ev_->PlanJoinStrategy(*op_, c_,
-                                         has_peeked_ ? peeked_ : Tuple(),
-                                         right_, cacheable));
+    XQC_ASSIGN_OR_RETURN(strategy_,
+                         ev_->PlanJoinStrategy(*op_, c_, right_, cacheable));
     return Status::OK();
   }
   Result<bool> Next(Tuple* out) override {
@@ -690,15 +684,10 @@ class JoinIter : public TupleIterator {
       buf_.clear();
       bpos_ = 0;
       Tuple l;
-      if (has_peeked_) {
-        l = std::move(peeked_);
-        has_peeked_ = false;
-      } else {
-        XQC_ASSIGN_OR_RETURN(bool has, left_->Next(&l));
-        if (!has) {
-          left_done_ = true;
-          return false;
-        }
+      XQC_ASSIGN_OR_RETURN(bool has, left_->Next(&l));
+      if (!has) {
+        left_done_ = true;
+        return false;
       }
       XQC_RETURN_IF_ERROR(
           ev_->ProbeJoinTuple(*op_, strategy_, c_, l, *right_, outer_, &buf_));
@@ -734,27 +723,16 @@ class JoinIter : public TupleIterator {
         }
         continue;
       }
-      Tuple l;
-      if (has_peeked_) {
-        l = std::move(peeked_);
-        has_peeked_ = false;
-      } else if (left_done_) {
-        XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
-        eos_ = true;
-        break;
-      } else {
-        if (lpos_ >= lb_.size()) {
-          XQC_RETURN_IF_ERROR(left_->NextBatch(&lb_, max - out->size()));
-          lpos_ = 0;
-          if (lb_.empty()) {
-            left_done_ = true;
-            XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
-            eos_ = true;
-            break;
-          }
+      if (lpos_ >= lb_.size()) {
+        XQC_RETURN_IF_ERROR(left_->NextBatch(&lb_, max - out->size()));
+        lpos_ = 0;
+        if (lb_.empty()) {
+          XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
+          eos_ = true;
+          break;
         }
-        l = std::move(lb_[lpos_++]);
       }
+      Tuple l = std::move(lb_[lpos_++]);
       XQC_RETURN_IF_ERROR(ev_->guard()->CheckSteps(1));
       buf_.clear();
       bpos_ = 0;
@@ -773,8 +751,6 @@ class JoinIter : public TupleIterator {
   EvalCtx c_;
   TupleIteratorPtr left_;
   bool outer_;
-  Tuple peeked_;
-  bool has_peeked_ = false;
   bool left_done_ = false;
   bool eos_ = false;
   std::shared_ptr<const Table> right_;

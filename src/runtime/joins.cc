@@ -17,17 +17,14 @@ Tuple NullRow(Symbol null_field, bool is_null, const Tuple& base) {
   return Tuple::Concat(flag, base);
 }
 
-/// One hash-table entry: the ORIGINAL key value (before promotion) plus the
-/// inner tuple's ordinal position (Figure 6 stores (key, typeof(key), tup,
-/// order); the tuple itself is recovered from the table by index).
+/// One hash-table entry: the inner tuple's ordinal position plus where its
+/// ORIGINAL key values (before promotion, one per key component) are stored
+/// (Figure 6 stores (key, typeof(key), tup, order); the tuple itself is
+/// recovered from the table by index).
 struct Entry {
-  AtomicValue original;
   size_t order;
+  size_t originals;  // offset into MaterializedInner's originals store
 };
-
-}  // namespace
-
-namespace {
 
 /// Key enumeration per mode: the general Figure 6 promotion, or the
 /// statically specialized single-entry representations (key_class.h).
@@ -61,23 +58,82 @@ void AppendKeys(const AtomicValue& v, KeyMode mode,
   }
 }
 
+/// The promoted keys of one key component: (promoted key, original value)
+/// pairs over every atomized value of the component's key sequence.
+using Candidates = std::vector<std::pair<JoinKey, const AtomicValue*>>;
+
+void PromoteComponent(const Sequence& values, KeyMode mode,
+                      std::vector<JoinKey>* scratch, Candidates* out) {
+  out->clear();
+  for (const Item& key : values) {
+    const AtomicValue& v = key.atomic();
+    scratch->clear();
+    AppendKeys(v, mode, scratch);
+    for (JoinKey& jk : *scratch) out->emplace_back(std::move(jk), &v);
+  }
+}
+
+/// Calls `fn(key, originals)` once per combination of the components'
+/// promoted keys. A one-component key is its promoted key itself; longer
+/// ones are encoded injectively as (type, length, canon) runs.
+template <typename Fn>
+Status ForEachCombination(const std::vector<Candidates>& parts, Fn fn) {
+  for (const Candidates& c : parts) {
+    if (c.empty()) return Status::OK();
+  }
+  if (parts.size() == 1) {
+    for (const auto& [jk, v] : parts[0]) {
+      const AtomicValue* one[1] = {v};
+      XQC_RETURN_IF_ERROR(fn(jk, one));
+    }
+    return Status::OK();
+  }
+  std::vector<size_t> at(parts.size(), 0);
+  std::vector<const AtomicValue*> originals(parts.size());
+  JoinKey composite;
+  while (true) {
+    composite.type = AtomicType::kString;
+    composite.canon.clear();
+    for (size_t i = 0; i < parts.size(); i++) {
+      const auto& [jk, v] = parts[i][at[i]];
+      uint32_t len = static_cast<uint32_t>(jk.canon.size());
+      composite.canon.push_back(static_cast<char>(jk.type));
+      composite.canon.append(reinterpret_cast<const char*>(&len),
+                             sizeof(len));
+      composite.canon += jk.canon;
+      originals[i] = v;
+    }
+    XQC_RETURN_IF_ERROR(fn(composite, originals.data()));
+    size_t i = parts.size();
+    while (i > 0) {
+      i--;
+      if (++at[i] < parts[i].size()) break;
+      at[i] = 0;
+      if (i == 0) return Status::OK();
+    }
+  }
+}
+
 }  // namespace
 
 /// The materialized inner side: a hash index or an ordered (B-tree style)
-/// index over the same (value, type) key space.
+/// index over the same (value, type) key space, one mode per component.
 class MaterializedInner {
  public:
-  MaterializedInner(bool ordered, KeyMode mode)
-      : ordered_(ordered), mode_(mode) {}
+  MaterializedInner(bool ordered, std::vector<KeyMode> modes)
+      : ordered_(ordered), modes_(std::move(modes)) {}
 
-  KeyMode mode() const { return mode_; }
+  size_t arity() const { return modes_.size(); }
+  KeyMode mode(size_t i) const { return modes_[i]; }
 
-  void Put(const JoinKey& key, Entry e) {
+  void Put(const JoinKey& key, size_t order, const AtomicValue* const* vals) {
+    Entry e{order, originals_.size()};
+    for (size_t i = 0; i < arity(); i++) originals_.push_back(*vals[i]);
     if (ordered_) {
       tree_[std::make_pair(static_cast<int>(key.type), key.canon)].push_back(
-          std::move(e));
+          e);
     } else {
-      hash_[key].push_back(std::move(e));
+      hash_[key].push_back(e);
     }
   }
 
@@ -91,21 +147,29 @@ class MaterializedInner {
     return it == hash_.end() ? nullptr : &it->second;
   }
 
+  const AtomicValue* originals(const Entry& e) const {
+    return &originals_[e.originals];
+  }
+
  private:
   bool ordered_;
-  KeyMode mode_;
+  std::vector<KeyMode> modes_;
+  std::vector<AtomicValue> originals_;
   std::unordered_map<JoinKey, std::vector<Entry>, JoinKeyHash> hash_;
   std::map<std::pair<int, std::string>, std::vector<Entry>> tree_;
 };
 
 // materialize (Figure 6 lines 1-16): index the inner input on every
-// (value, type) pair its keys promote to, remembering original value and
-// sequence order.
+// combination of (value, type) pairs its keys promote to, remembering
+// original values and sequence order.
 Result<std::shared_ptr<const MaterializedInner>> MaterializeInner(
-    const Table& right, const KeyFn& right_key, bool use_ordered_index,
-    KeyMode mode, QueryGuard* guard) {
-  auto index = std::make_shared<MaterializedInner>(use_ordered_index, mode);
-  std::vector<JoinKey> keys;
+    const Table& right, const std::vector<KeyFn>& right_keys,
+    bool use_ordered_index, const std::vector<KeyMode>& modes,
+    QueryGuard* guard) {
+  auto index = std::make_shared<MaterializedInner>(use_ordered_index, modes);
+  std::vector<Sequence> values(right_keys.size());
+  std::vector<Candidates> parts(right_keys.size());
+  std::vector<JoinKey> scratch;
   for (size_t order = 0; order < right.size(); order++) {
     if (guard != nullptr) {
       // One step per indexed row, credited a check-interval at a time
@@ -121,45 +185,69 @@ Result<std::shared_ptr<const MaterializedInner>> MaterializeInner(
       }
       XQC_RETURN_IF_ERROR(guard->AccountItems(1));
     }
-    XQC_ASSIGN_OR_RETURN(Sequence key_vals, right_key(right[order]));
-    for (const Item& key : key_vals) {
-      const AtomicValue& v = key.atomic();
-      keys.clear();
-      AppendKeys(v, mode, &keys);
-      for (const JoinKey& jk : keys) {
-        index->Put(jk, Entry{v, order});
-      }
+    for (size_t i = 0; i < right_keys.size(); i++) {
+      XQC_ASSIGN_OR_RETURN(values[i], right_keys[i](right[order]));
+      PromoteComponent(values[i], modes[i], &scratch, &parts[i]);
     }
+    int64_t entries = 0;
+    XQC_RETURN_IF_ERROR(ForEachCombination(
+        parts, [&](const JoinKey& key, const AtomicValue* const* vals) {
+          // Composite keys can multiply out; charge entries past the
+          // first so the product stays inside the memory budget.
+          if (guard != nullptr && parts.size() > 1 && entries++ > 0) {
+            XQC_RETURN_IF_ERROR(guard->AccountItems(1));
+          }
+          index->Put(key, order, vals);
+          return Status::OK();
+        }));
   }
   return std::shared_ptr<const MaterializedInner>(std::move(index));
 }
 
+Result<std::shared_ptr<const MaterializedInner>> MaterializeInner(
+    const Table& right, const KeyFn& right_key, bool use_ordered_index,
+    KeyMode mode, QueryGuard* guard) {
+  return MaterializeInner(right, std::vector<KeyFn>{right_key},
+                          use_ordered_index, std::vector<KeyMode>{mode},
+                          guard);
+}
+
 namespace {
 
-// allMatches (Figure 6 lines 17-32): probe with each promoted key of each
-// outer key value, re-check the original types against Table 2 and the
-// original values with op:equal, then sort by inner order and deduplicate
-// (existential semantics; keeps the sorted order).
+// allMatches (Figure 6 lines 17-32): probe with each combination of the
+// outer keys' promoted keys, re-check every component's original types
+// against Table 2 and original values with op:equal, then sort by inner
+// order and deduplicate (existential semantics; keeps the sorted order).
 Result<std::vector<size_t>> AllMatches(const MaterializedInner& index,
-                                       const Sequence& outer_keys) {
+                                       const std::vector<Sequence>& outer) {
   std::vector<size_t> matches;
-  std::vector<JoinKey> keys;
-  for (const Item& key : outer_keys) {
-    const AtomicValue& v = key.atomic();
-    keys.clear();
-    AppendKeys(v, index.mode(), &keys);
-    for (const JoinKey& jk : keys) {
-      const std::vector<Entry>* entries = index.Get(jk);
-      if (entries == nullptr) continue;
-      for (const Entry& e : *entries) {
-        if (!ConvertCompatible(e.original.type(), v.type())) continue;
-        Result<bool> eq = ValueCompareAtomic(CompOp::kEq, e.original, v);
-        // Incomparable pairs are non-matches (the same join-compatible
-        // relaxation GeneralCompare applies).
-        if (eq.ok() && eq.value()) matches.push_back(e.order);
-      }
-    }
+  std::vector<Candidates> parts(outer.size());
+  std::vector<JoinKey> scratch;
+  for (size_t i = 0; i < outer.size(); i++) {
+    PromoteComponent(outer[i], index.mode(i), &scratch, &parts[i]);
   }
+  XQC_RETURN_IF_ERROR(ForEachCombination(
+      parts, [&](const JoinKey& key, const AtomicValue* const* vals) {
+        const std::vector<Entry>* entries = index.Get(key);
+        if (entries == nullptr) return Status::OK();
+        for (const Entry& e : *entries) {
+          const AtomicValue* orig = index.originals(e);
+          bool all = true;
+          for (size_t i = 0; all && i < index.arity(); i++) {
+            if (!ConvertCompatible(orig[i].type(), vals[i]->type())) {
+              all = false;
+              break;
+            }
+            Result<bool> eq =
+                ValueCompareAtomic(CompOp::kEq, orig[i], *vals[i]);
+            // Incomparable pairs are non-matches (the same join-compatible
+            // relaxation GeneralCompare applies).
+            all = eq.ok() && eq.value();
+          }
+          if (all) matches.push_back(e.order);
+        }
+        return Status::OK();
+      }));
   std::sort(matches.begin(), matches.end());
   matches.erase(std::unique(matches.begin(), matches.end()), matches.end());
   return matches;
@@ -203,7 +291,7 @@ Result<Table> NestedLoopJoin(const Table& left, const Table& right,
   return out;
 }
 
-Status EqualityProbe(const Tuple& left, const Sequence& left_keys,
+Status EqualityProbe(const Tuple& left, const std::vector<Sequence>& left_keys,
                      const Table& right, const MaterializedInner& inner,
                      bool outer, Symbol null_field, const PredFn* residual,
                      Table* out) {
@@ -236,8 +324,9 @@ Result<Table> EqualityJoinWithIndex(const Table& left, const KeyFn& left_key,
                                     const PredFn* residual) {
   // equalityJoin (Figure 6 lines 33-49): the left input probes in order.
   Table out;
+  std::vector<Sequence> keys(1);
   for (const Tuple& l : left) {
-    XQC_ASSIGN_OR_RETURN(Sequence keys, left_key(l));
+    XQC_ASSIGN_OR_RETURN(keys[0], left_key(l));
     XQC_RETURN_IF_ERROR(EqualityProbe(l, keys, right, inner, outer,
                                       null_field, residual, &out));
   }

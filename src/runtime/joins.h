@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/base/guard.h"
 #include "src/base/status.h"
@@ -56,19 +57,34 @@ Result<Table> EqualityJoin(const Table& left, const KeyFn& left_key,
 /// reusable across probes. The paper's physical operators are index joins:
 /// an independent inner input's index is built once and kept (the
 /// evaluator caches these across re-executions of correlated subplans).
+///
+/// The index may be keyed on several equality conjuncts at once (Section
+/// 6's "can be extended to multiple predicates"): a composite key is one
+/// promoted (value, type) pair per conjunct, every combination of the
+/// conjuncts' promoted keys is indexed, and a candidate matches only when
+/// every component re-verifies against its stored original under Table 2.
+/// Because each conjunct is existential on its own, a left tuple matches
+/// an inner tuple iff some combination collides on all components.
 class MaterializedInner;
 
-/// `mode` selects the key representation (see key_class.h): the general
-/// promoteToSimpleTypes enumeration, or the statically specialized
-/// single-entry string/double keys. Build and probe must use the SAME mode.
-/// The optional guard (non-owning) is checked and charged per indexed key
-/// entry, so adversarially large build sides honor deadlines and budgets.
+/// `modes` (one per key component) select the key representation (see
+/// key_class.h): the general promoteToSimpleTypes enumeration, or the
+/// statically specialized single-entry string/double keys. Build and probe
+/// must use the SAME modes. The optional guard (non-owning) is checked and
+/// charged per indexed row (plus one item per extra composite entry), so
+/// adversarially large build sides honor deadlines and budgets.
+Result<std::shared_ptr<const MaterializedInner>> MaterializeInner(
+    const Table& right, const std::vector<KeyFn>& right_keys,
+    bool use_ordered_index, const std::vector<KeyMode>& modes,
+    QueryGuard* guard = nullptr);
+
+/// Single-key convenience form (the paper's one-predicate index).
 Result<std::shared_ptr<const MaterializedInner>> MaterializeInner(
     const Table& right, const KeyFn& right_key, bool use_ordered_index,
     KeyMode mode = KeyMode::kGeneralKeys, QueryGuard* guard = nullptr);
 
-/// EqualityJoin against a prebuilt inner index. `right` must be the table
-/// the index was built from.
+/// EqualityJoin against a prebuilt single-key inner index. `right` must be
+/// the table the index was built from.
 Result<Table> EqualityJoinWithIndex(const Table& left, const KeyFn& left_key,
                                     const Table& right,
                                     const MaterializedInner& inner, bool outer,
@@ -103,8 +119,9 @@ Result<Table> InequalityJoinWithIndex(const Table& left, const KeyFn& left_key,
 /// The unmatched-left outer-join row: [null_field:true] ++ base.
 Tuple OuterNullRow(Symbol null_field, const Tuple& base);
 
-/// Equality probe with pre-atomized left keys (fn:data already applied).
-Status EqualityProbe(const Tuple& left, const Sequence& left_keys,
+/// Equality probe with pre-atomized left keys (fn:data already applied),
+/// one sequence per key component of `inner`.
+Status EqualityProbe(const Tuple& left, const std::vector<Sequence>& left_keys,
                      const Table& right, const MaterializedInner& inner,
                      bool outer, Symbol null_field, const PredFn* residual,
                      Table* out);

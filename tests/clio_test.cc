@@ -127,5 +127,70 @@ TEST(ClioPlans, NestedConstructorBlocksUnnestIntoJoins) {
             q2.value().optimizer_stats().insert_outer_join);
 }
 
+TEST(ClioPlans, NestedBlocksRunAsFlatJoins) {
+  // Figure 5 unnesting finished: no per-outer-tuple subplan is left, so
+  // every join executes exactly once per query.
+  ClioOptions opts;
+  opts.target_bytes = 24 * 1024;
+  Result<NodePtr> doc = GenerateDblpDocument(opts);
+  ASSERT_OK(doc);
+  DynamicContext ctx;
+  ctx.BindVariable(Symbol("dblp"), {Item(doc.value())});
+  Engine engine;
+  const int kJoins[] = {0, 0, 1, 2, 5};
+  for (int level : {2, 3, 4}) {
+    Result<PreparedQuery> q = engine.Prepare(ClioQuery(level));
+    ASSERT_OK(q);
+    testutil::UnnestShape shape = testutil::ShapeOf(*q.value().compiled().plan);
+    std::string plan = q.value().ExplainPlan();
+    EXPECT_EQ(shape.in_products, 0) << "N" << level << "\n" << plan;
+    EXPECT_EQ(shape.nested_outer_maps, 0) << "N" << level << "\n" << plan;
+    EXPECT_EQ(shape.joins, kJoins[level]) << "N" << level << "\n" << plan;
+    ASSERT_OK(q.value().Execute(&ctx));
+    EXPECT_EQ(q.value().last_exec_stats().hash_joins, kJoins[level])
+        << "N" << level;
+  }
+  // N3/N4's booktitle-and-year join keys one composite index.
+  Result<PreparedQuery> q3 = engine.Prepare(ClioQuery(3));
+  ASSERT_OK(q3);
+  ASSERT_OK(q3.value().Execute(&ctx));
+  EXPECT_EQ(q3.value().last_exec_stats().composite_joins, 1);
+}
+
+TEST(ClioPlans, JoinKeySidesComeFromThePlan) {
+  // Regression: join-key sides used to be read off the first left tuple,
+  // so an author without papers first in the document (a null row leading
+  // the flat outer joins) silently demoted joins to nested loops.
+  ClioOptions opts;
+  opts.target_bytes = 24 * 1024;
+  std::string xml = GenerateDblpXml(opts);
+  size_t at = xml.find("<authorinfo>");
+  ASSERT_NE(at, std::string::npos);
+  xml.insert(at,
+             "<authorinfo><name>Nobody Wrote</name>"
+             "<affiliation>Nowhere</affiliation></authorinfo>");
+  NodePtr doc = testutil::MustParseXml(xml);
+  DynamicContext ctx;
+  ctx.BindVariable(Symbol("dblp"), {Item(doc)});
+  Engine engine;
+  for (int level : {2, 3, 4}) {
+    std::string reference = testutil::InterpToString(ClioQuery(level), &ctx);
+    ASSERT_NE(reference.find("<name>Nobody Wrote</name><pubs/>"),
+              std::string::npos)
+        << "N" << level;
+    for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
+      EngineOptions options;
+      options.exec_mode = mode;
+      Result<PreparedQuery> q = engine.Prepare(ClioQuery(level), options);
+      ASSERT_OK(q);
+      Result<std::string> r = q.value().ExecuteToString(&ctx);
+      ASSERT_OK(r);
+      EXPECT_EQ(r.value(), reference) << "N" << level;
+      EXPECT_EQ(q.value().last_exec_stats().nested_loop_joins, 0)
+          << "N" << level;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xqc

@@ -419,5 +419,76 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(info.param.seed);
     });
 
+// ---- composite keys ------------------------------------------------------------
+
+TEST(CompositeJoin, EveryComponentVerifiedUnderTable2) {
+  // a1 = b1 and a2 = b2 keyed at once: each conjunct stays existential over
+  // its own multi-valued keys and promotes under Table 2 on its own, so the
+  // composite index must agree with nested loops over the conjunction.
+  uint64_t state = 7;
+  auto next = [&state](int n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>((state >> 33) % n);
+  };
+  auto keys = [&next]() {
+    // 0-2 values of 1, 2 or 3 as integer, double, untyped "n" or "n.0".
+    Sequence s;
+    for (int i = next(3); i > 0; i--) {
+      int v = 1 + next(3);
+      switch (next(4)) {
+        case 0: s.push_back(AtomicValue::Integer(v)); break;
+        case 1: s.push_back(AtomicValue::Double(v)); break;
+        case 2: s.push_back(AtomicValue::Untyped(std::to_string(v))); break;
+        default: s.push_back(AtomicValue::Untyped(std::to_string(v) + ".0"));
+      }
+    }
+    return s;
+  };
+  auto row = [&](const char* f1, const char* f2) {
+    Tuple t;
+    t.Set(Symbol(f1), keys());
+    t.Set(Symbol(f2), keys());
+    return t;
+  };
+  Table left, right;
+  for (int i = 0; i < 40; i++) left.push_back(row("a1", "a2"));
+  for (int i = 0; i < 40; i++) right.push_back(row("b1", "b2"));
+  PredFn both = [](const Tuple& t) -> Result<bool> {
+    for (auto [l, r] : {std::pair<const char*, const char*>{"a1", "b1"},
+                        {"a2", "b2"}}) {
+      XQC_ASSIGN_OR_RETURN(bool eq, GeneralCompare(CompOp::kEq,
+                                                   *t.Get(Symbol(l)),
+                                                   *t.Get(Symbol(r))));
+      if (!eq) return false;
+    }
+    return true;
+  };
+  for (bool outer : {false, true}) {
+    Result<Table> ref = NestedLoopJoin(left, right, both, outer, Symbol("n"));
+    ASSERT_OK(ref);
+    if (!outer) EXPECT_GT(ref.value().size(), 3u);
+    for (bool ordered : {false, true}) {
+      auto inner = MaterializeInner(
+          right, std::vector<KeyFn>{FieldKey("b1"), FieldKey("b2")}, ordered,
+          std::vector<KeyMode>(2, KeyMode::kGeneralKeys));
+      ASSERT_OK(inner);
+      Table got;
+      for (const Tuple& l : left) {
+        std::vector<Sequence> probe;
+        for (const char* f : {"a1", "a2"}) {
+          Result<Sequence> k = FieldKey(f)(l);
+          ASSERT_OK(k);
+          probe.push_back(k.take());
+        }
+        Status st = EqualityProbe(l, probe, right, *inner.value(), outer,
+                                  Symbol("n"), nullptr, &got);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+      }
+      EXPECT_EQ(TableToString(got), TableToString(ref.value()))
+          << "outer=" << outer << " ordered=" << ordered;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace xqc

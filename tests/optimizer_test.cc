@@ -7,6 +7,8 @@
 
 #include "src/engine/engine.h"
 #include "src/opt/optimizer.h"
+#include "src/runtime/eval.h"
+#include "src/xml/serializer.h"
 #include "src/xquery/normalize.h"
 #include "src/xquery/parser.h"
 #include "test_util.h"
@@ -204,6 +206,161 @@ TEST(RewriteRules, MapIndexStaysWhenFieldIsAccessed) {
   EXPECT_NE(out.find("MapIndex[i]"), std::string::npos) << out;
   EXPECT_EQ(out.find("MapIndexStep"), std::string::npos) << out;
   EXPECT_EQ(stats.index_to_index_step, 0);
+}
+
+// ---- flattening nested blocks: lifted products and outer maps -----------------
+
+OpPtr In(const char* field) { return OpInField(Symbol(field)); }
+
+OpPtr Eq(OpPtr a, OpPtr b) {
+  return OpCall(Symbol("op:general-eq"), {std::move(a), std::move(b)});
+}
+
+OpPtr Seq(std::vector<OpPtr> items) {
+  OpPtr seq = MakeOp(OpKind::kSequence);
+  seq->inputs = std::move(items);
+  return seq;
+}
+
+/// Evaluates an item-valued plan over $xs = (1,2,3), $ys = (2,3,3,4) and
+/// $zs = (3,4,4,5); "ERROR:<code>" on failure.
+std::string Eval(const OpPtr& plan) {
+  DynamicContext ctx;
+  auto ints = [](std::vector<int> v) {
+    Sequence out;
+    for (int i : v) out.push_back(AtomicValue::Integer(i));
+    return out;
+  };
+  ctx.BindVariable(Symbol("xs"), ints({1, 2, 3}));
+  ctx.BindVariable(Symbol("ys"), ints({2, 3, 3, 4}));
+  ctx.BindVariable(Symbol("zs"), ints({3, 4, 4, 5}));
+  CompiledQuery q;
+  q.plan = plan;
+  PlanEvaluator eval(&q, &ctx);
+  Result<Sequence> r = eval.Run();
+  return r.ok() ? SerializeSequence(r.value())
+                : "ERROR:" + r.status().code();
+}
+
+/// Optimizes a copy of `plan` and checks it still evaluates to the same
+/// bytes; returns the optimized plan's text.
+std::string OptimizedAgrees(const OpPtr& plan, OptimizerStats* stats) {
+  std::string before = Eval(plan);
+  OpPtr optimized = OptimizePlan(CloneOp(*plan), stats);
+  EXPECT_EQ(Eval(optimized), before) << OpToString(*optimized);
+  return OpToString(*optimized);
+}
+
+/// The Q9 shape: per $x, an uncorrelated inner `for $y` (the Product(IN,..)
+/// that (insert product) leaves) numbered and outer-joined with $zs, then
+/// grouped — nothing inside reads $x.
+OpPtr ProductUnderGroupBy(OpPtr join_pred) {
+  OpPtr inner = OpGroupBy(
+      Symbol("a"), {Symbol("i")}, {Symbol("m")},
+      OpCall(Symbol("fn:count"), {OpIn()}), In("z"),
+      OpLOuterJoin(Symbol("m"), std::move(join_pred),
+                   OpMapIndex(Symbol("i"),
+                              OpProduct(OpIn(), Stream("y", "ys"))),
+                   Stream("z", "zs")));
+  return OpMapToItem(Seq({In("x"), In("y"), In("a")}),
+                     OpMapConcat(std::move(inner), Stream("x", "xs")));
+}
+
+TEST(RewriteRules, LiftProductAboveIndexJoinAndGroupBy) {
+  OptimizerStats stats;
+  std::string out =
+      OptimizedAgrees(ProductUnderGroupBy(Eq(In("y"), In("z"))), &stats);
+  EXPECT_EQ(stats.lift_product, 3) << out;
+  EXPECT_NE(out.find("MapConcat{Product(IN,GroupBy[a,[i],[m]]"),
+            std::string::npos)
+      << out;
+}
+
+TEST(RewriteRules, LiftProductStopsAtInFieldReads) {
+  // The outer join reads $x, a field of IN: the product must stay below it.
+  OptimizerStats stats;
+  std::string out =
+      OptimizedAgrees(ProductUnderGroupBy(Eq(In("x"), In("z"))), &stats);
+  EXPECT_EQ(stats.lift_product, 1) << out;  // only past the MapIndex
+  EXPECT_NE(out.find("LOuterJoin[m]{op:general-eq(IN#x,IN#z)}(Product(IN,"),
+            std::string::npos)
+      << out;
+}
+
+/// The N3 shape after (map through group-by): per numbered $x, a
+/// correlated `for $y where $y = $x` (Join(IN, ..)), numbered and
+/// outer-joined with $zs through `pred`, grouped into `a`; the enclosing
+/// GroupBy lists `outer_nulls` and groups `a` per $x.
+OpPtr OuterMapUnderGroupBy(OpPtr pred, OpPtr inner_pre,
+                           std::vector<Symbol> outer_nulls) {
+  OpPtr inner = OpGroupBy(
+      Symbol("a"), {Symbol("k")}, {Symbol("m")}, OpIn(), std::move(inner_pre),
+      OpLOuterJoin(Symbol("m"), std::move(pred),
+                   OpMapIndex(Symbol("k"), OpJoin(Eq(In("y"), In("x")),
+                                                  OpIn(), Stream("y", "ys"))),
+                   Stream("z", "zs")));
+  OpPtr outer = OpGroupBy(
+      Symbol("b"), {Symbol("s")}, std::move(outer_nulls),
+      OpCall(Symbol("fn:count"), {OpIn()}), In("a"),
+      OpOMapConcat(Symbol("n"), std::move(inner),
+                   OpMapIndex(Symbol("s"), Stream("x", "xs"))));
+  return OpMapToItem(Seq({In("x"), In("b")}), std::move(outer));
+}
+
+TEST(RewriteRules, OuterMapThroughGroupByAloneEvaluates) {
+  // fn:string() is not a navigation path, so the outer map cannot be pushed
+  // through the LOuterJoin: only (map through group-by) fires, and its plan
+  // — whose n-null rows lack the inner index k — must evaluate as is.
+  OptimizerStats stats;
+  std::string out = OptimizedAgrees(
+      OuterMapUnderGroupBy(
+          Eq(OpCall(Symbol("fn:string"), {In("y")}),
+             OpCall(Symbol("fn:string"), {In("z")})),
+          In("z"), {Symbol("n")}),
+      &stats);
+  EXPECT_EQ(stats.outer_map_through_group_by, 1) << out;
+  EXPECT_EQ(stats.push_outer_map, 0) << out;
+  EXPECT_NE(out.find("GroupBy[a,[s,k],[m,n]]"), std::string::npos) << out;
+}
+
+TEST(RewriteRules, PushOuterMapUntilOuterJoin) {
+  // The full flattening: the outer map moves through the inner GroupBy,
+  // the LOuterJoin and the MapIndex, and (insert outer-join) replaces it.
+  OptimizerStats stats;
+  std::string out = OptimizedAgrees(
+      OuterMapUnderGroupBy(Eq(In("y"), In("z")), In("z"), {Symbol("n")}),
+      &stats);
+  EXPECT_EQ(stats.outer_map_through_group_by, 1) << out;
+  EXPECT_EQ(stats.push_outer_map, 2) << out;
+  EXPECT_EQ(stats.insert_outer_join, 1) << out;
+  EXPECT_EQ(out.find("OMapConcat"), std::string::npos) << out;
+  EXPECT_NE(out.find("LOuterJoin[n]{op:general-eq(IN#y,IN#x)}(MapIndex"),
+            std::string::npos)
+      << out;
+}
+
+TEST(RewriteRules, PushOuterMapKeepsReadIndexes) {
+  // `for $y at $k`: the inner index is read, so renumbering it across outer
+  // tuples would change results — the MapIndex stays inside the outer map.
+  OptimizerStats stats;
+  std::string out = OptimizedAgrees(
+      OuterMapUnderGroupBy(Eq(In("y"), In("z")), Seq({In("z"), In("k")}),
+                           {Symbol("n")}),
+      &stats);
+  EXPECT_EQ(stats.push_outer_map, 1) << out;  // the LOuterJoin only
+  EXPECT_NE(out.find("OMapConcat[n]{MapIndex[k]("), std::string::npos) << out;
+}
+
+TEST(RewriteRules, OuterMapStaysWithoutNullListingGroupBy) {
+  // The enclosing GroupBy does not treat n as null: n-null rows feed its
+  // pre-grouping operator, so nothing may change what they carry.
+  OptimizerStats stats;
+  std::string out = OptimizedAgrees(
+      OuterMapUnderGroupBy(Eq(In("y"), In("z")), In("z"), {}), &stats);
+  EXPECT_EQ(stats.outer_map_through_group_by, 0) << out;
+  EXPECT_EQ(stats.push_outer_map, 0) << out;
+  EXPECT_NE(out.find("OMapConcat[n]{GroupBy[a,[k],[m]]"), std::string::npos)
+      << out;
 }
 
 // ---- end-to-end derivations through the engine ---------------------------------

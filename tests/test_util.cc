@@ -37,5 +37,44 @@ std::string InterpToString(const std::string& query) {
   return InterpToString(query, &ctx);
 }
 
+namespace {
+
+bool HoldsJoinOrGroupBy(const Op& op) {
+  if (op.kind == OpKind::kJoin || op.kind == OpKind::kLOuterJoin ||
+      op.kind == OpKind::kGroupBy) {
+    return true;
+  }
+  for (const OpPtr& d : op.deps) {
+    if (HoldsJoinOrGroupBy(*d)) return true;
+  }
+  for (const OpPtr& i : op.inputs) {
+    if (HoldsJoinOrGroupBy(*i)) return true;
+  }
+  return false;
+}
+
+void AddShape(const Op& op, UnnestShape* out) {
+  if (op.kind == OpKind::kJoin || op.kind == OpKind::kLOuterJoin) {
+    out->joins++;
+  }
+  if (op.kind == OpKind::kProduct && op.inputs[0]->kind == OpKind::kIn) {
+    out->in_products++;
+  }
+  if (op.kind == OpKind::kOMapConcat && HoldsJoinOrGroupBy(*op.deps[0])) {
+    out->nested_outer_maps++;
+  }
+  for (const OpPtr& d : op.deps) AddShape(*d, out);
+  for (const OpPtr& i : op.inputs) AddShape(*i, out);
+  for (const OrderSpecOp& s : op.specs) AddShape(*s.key, out);
+}
+
+}  // namespace
+
+UnnestShape ShapeOf(const Op& plan) {
+  UnnestShape out;
+  AddShape(plan, &out);
+  return out;
+}
+
 }  // namespace testutil
 }  // namespace xqc

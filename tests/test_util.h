@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "src/algebra/op.h"
 #include "src/base/status.h"
 #include "src/runtime/context.h"
 #include "src/xml/item.h"
@@ -35,6 +36,16 @@ std::string InterpToString(const std::string& query, DynamicContext* ctx);
 
 /// Convenience: query with no context.
 std::string InterpToString(const std::string& query);
+
+/// What is left of nesting in an optimized plan (the Figure 5 unnesting is
+/// complete when both leftover counts are zero).
+struct UnnestShape {
+  int joins = 0;              // Join + LOuterJoin operators
+  int in_products = 0;        // Product(IN, ...) left by (insert product)
+  int nested_outer_maps = 0;  // OMapConcat whose dependent holds a join or
+                              // GroupBy (runs once per outer tuple)
+};
+UnnestShape ShapeOf(const Op& plan);
 
 }  // namespace testutil
 }  // namespace xqc

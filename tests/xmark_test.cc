@@ -166,5 +166,29 @@ TEST(XMarkQ8VariantTest, SchemaTypesFlowThroughUnnesting) {
   EXPECT_NE(plan.find("Validate"), std::string::npos) << plan;
 }
 
+TEST(XMarkPlans, Q9RunsAsFlatOuterJoins) {
+  // Q9's per-person block holds an uncorrelated `for $t` (Product(IN, ..))
+  // around a correlated one; once the product is lifted, both joins run
+  // once per query instead of once per person.
+  XMarkOptions opts;
+  opts.target_bytes = 48 * 1024;
+  Result<NodePtr> doc = GenerateXMarkDocument(opts);
+  ASSERT_OK(doc);
+  DynamicContext ctx;
+  ctx.BindVariable(Symbol("auction"), {Item(doc.value())});
+  Engine engine;
+  Result<PreparedQuery> q = engine.Prepare(XMarkQuery(9));
+  ASSERT_OK(q);
+  testutil::UnnestShape shape = testutil::ShapeOf(*q.value().compiled().plan);
+  std::string plan = q.value().ExplainPlan();
+  EXPECT_EQ(shape.in_products, 0) << plan;
+  EXPECT_EQ(shape.nested_outer_maps, 0) << plan;
+  EXPECT_EQ(shape.joins, 2) << plan;
+  EXPECT_GE(q.value().optimizer_stats().lift_product, 3);
+  ASSERT_OK(q.value().Execute(&ctx));
+  EXPECT_EQ(q.value().last_exec_stats().hash_joins, 2);
+  EXPECT_EQ(q.value().last_exec_stats().nested_loop_joins, 0);
+}
+
 }  // namespace
 }  // namespace xqc
