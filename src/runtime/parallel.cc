@@ -85,6 +85,7 @@ void MergeExecStats(ExecStats* a, const ExecStats& b) {
   a->range_joins += b.range_joins;
   a->nested_loop_joins += b.nested_loop_joins;
   a->group_bys += b.group_bys;
+  a->composite_joins += b.composite_joins;
   a->join_index_reuses += b.join_index_reuses;
   a->specialized_joins += b.specialized_joins;
   a->source_tuples += b.source_tuples;

@@ -366,6 +366,7 @@ void ExpectStatsEqual(const ExecStats& a, const ExecStats& b,
   EXPECT_EQ(a.range_joins, b.range_joins) << what;
   EXPECT_EQ(a.nested_loop_joins, b.nested_loop_joins) << what;
   EXPECT_EQ(a.group_bys, b.group_bys) << what;
+  EXPECT_EQ(a.composite_joins, b.composite_joins) << what;
   EXPECT_EQ(a.join_index_reuses, b.join_index_reuses) << what;
   EXPECT_EQ(a.specialized_joins, b.specialized_joins) << what;
   EXPECT_EQ(a.source_tuples, b.source_tuples) << what;
