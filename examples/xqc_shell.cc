@@ -374,6 +374,8 @@ int main(int argc, char** argv) {
               << " index-reuses=" << es.join_index_reuses
               << " source-tuples=" << es.source_tuples
               << " early-stops=" << es.streaming_early_stops << "\n"
+              << "construct: nodes-copied=" << es.nodes_copied
+              << " nodes-adopted=" << es.nodes_adopted << "\n"
               << "tree-join: sorts=" << es.tree_join.ddo_sorts
               << " dedups=" << es.tree_join.ddo_dedups
               << " skip-static=" << es.tree_join.ddo_skip_static

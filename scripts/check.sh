@@ -144,6 +144,9 @@ if [[ "${1:-}" != "--sanitize-only" ]]; then
 fi
 
 echo "=== sanitized build + tests (build-asan/, address+undefined) ==="
+# The whole ctest suite, construct_test included: constructor copy elision
+# moves nodes between trees, so a node adopted while something still
+# references it shows up here as a use-after-free.
 cmake -B build-asan -S . -DXQC_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS"
 (
@@ -160,15 +163,16 @@ echo "=== thread-sanitized build + tests (build-tsan/) ==="
 # parallel_test, and the HTTP event loop's handoff to the worker pool —
 # completions queue, self-pipe wakeups, drain races — in http_test) plus
 # the guard and streaming suites whose machinery (cancellation tokens,
-# ScopedGuard, ResultStream) the threaded paths lean on.
+# ScopedGuard, ResultStream) the threaded paths lean on, and construct_test,
+# whose collection scans adopt constructed nodes inside partition workers.
 cmake -B build-tsan -S . -DXQC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   concurrency_test service_test property_test guard_test streaming_test \
-  store_test parallel_test http_test
+  store_test parallel_test http_test construct_test
 (
   ulimit -s 262144 2>/dev/null || echo "warning: could not raise stack limit"
   cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-    -R 'concurrency_test|service_test|property_test|guard_test|streaming_test|store_test|parallel_test|http_test'
+    -R 'concurrency_test|service_test|property_test|guard_test|streaming_test|store_test|parallel_test|http_test|construct_test'
 )
 
 echo "=== all checks passed ==="

@@ -121,6 +121,10 @@ struct Op {
   Axis axis = Axis::kChild;
   ItemTest ntest;
   DdoMode ddo = DdoMode::kSort;  // kTreeJoin: inferred by AnnotateDdo
+  /// kFieldAccess over IN: the query's only read of the field, so the
+  /// evaluator may hand the value over instead of copying it (set by
+  /// AnnotateConsumingReads, opt/consume_infer.h).
+  bool consume = false;
   std::vector<std::string> paths;
   std::vector<OpPtr> deps;
   std::vector<OpPtr> inputs;

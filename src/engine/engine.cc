@@ -1,5 +1,6 @@
 #include "src/engine/engine.h"
 
+#include "src/opt/consume_infer.h"
 #include "src/opt/ddo_infer.h"
 #include "src/opt/parallel_infer.h"
 #include "src/runtime/parallel.h"
@@ -127,6 +128,7 @@ Result<bool> ResultStream::Next(Item* out) {
     }
     EvalCtx dc;
     dc.tuple = &t;
+    dc.owned_tuple = &t;
     XQC_ASSIGN_OR_RETURN(im.buf, im.eval.EvalItems(*im.per_tuple, dc));
     im.pos = 0;
   }
@@ -240,6 +242,9 @@ Result<PreparedQuery> Engine::Prepare(const std::string& query_text,
   // parallelism > 1; the stored Op pointers survive the move below because
   // plans are held by shared_ptr).
   AnalyzeParallel(&opt);
+  // Tuple-field reads that may hand their value over to a constructor
+  // (constructor copy elision, runtime/construct.h).
+  AnnotateConsumingReads(&opt);
   out.compiled_ = std::make_shared<CompiledQuery>(std::move(opt));
   return out;
 }

@@ -408,7 +408,7 @@ Result<Sequence> Interpreter::EvalConstructor(const Expr& e, const EnvPtr& env) 
   switch (e.kind) {
     case ExprKind::kCompElement: {
       XQC_ASSIGN_OR_RETURN(Symbol name, EvalName(e, env));
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructElement(name, content, guard_));
+      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructElement(name, std::move(content), guard_));
       return Sequence{std::move(n)};
     }
     case ExprKind::kCompAttribute: {
@@ -431,7 +431,7 @@ Result<Sequence> Interpreter::EvalConstructor(const Expr& e, const EnvPtr& env) 
       return Sequence{std::move(n)};
     }
     case ExprKind::kCompDocument: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructDocument(content, guard_));
+      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructDocument(std::move(content), guard_));
       return Sequence{std::move(n)};
     }
     default:

@@ -1,5 +1,7 @@
 #include "src/runtime/construct.h"
 
+#include <atomic>
+
 #include "src/base/status.h"
 
 namespace xqc {
@@ -16,18 +18,31 @@ Result<std::string> JoinLexical(const Sequence& content) {
   return out;
 }
 
-/// Nodes in the subtree rooted at `n` (for guard accounting of deep
-/// copies; attributes count as nodes).
+/// Nodes in the subtree rooted at `n` (for guard accounting; attributes
+/// count as nodes). Finalized subtrees answer from their numbering.
 int64_t SubtreeNodes(const Node& n) {
+  if (n.start != 0) return static_cast<int64_t>(n.SubtreeSize());
   int64_t count = 1 + static_cast<int64_t>(n.attributes.size());
   for (const NodePtr& c : n.children) count += SubtreeNodes(*c);
   return count;
 }
 
+/// Is the caller's reference the only strong one to `n`? The acquire fence
+/// pairs with the release decrement of a reference dropped on another
+/// thread, so that thread's reads of the tree happen before any adopting
+/// write.
+bool Unshared(const NodePtr& n) {
+  if (n.use_count() != 1) return false;
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return true;
+}
+
 /// Appends `content` items into `parent` children: atomic runs become text
-/// nodes, document nodes splice their children, other nodes are deep-copied.
-Status AppendContent(const NodePtr& parent, const Sequence& content,
-                     bool allow_attributes, QueryGuard* guard) {
+/// nodes, document nodes splice their children, other nodes are adopted
+/// or deep-copied (see ConstructElement).
+Status AppendContent(const NodePtr& parent, Sequence content,
+                     bool allow_attributes, QueryGuard* guard,
+                     ConstructCounts* counts) {
   std::string text;
   bool prev_atomic = false;
   bool seen_non_attribute = false;
@@ -38,12 +53,23 @@ Status AppendContent(const NodePtr& parent, const Sequence& content,
     }
     prev_atomic = false;
   };
-  auto account_copy = [&](const Node& n) -> Status {
-    if (guard == nullptr) return Status::OK();
-    XQC_RETURN_IF_ERROR(guard->Check());
-    return guard->AccountNodes(SubtreeNodes(n));
+  // Places one content node, charged alike on both routes.
+  auto place = [&](NodePtr n, bool adopt) -> Status {
+    int64_t size = SubtreeNodes(*n);
+    if (guard != nullptr) {
+      XQC_RETURN_IF_ERROR(guard->Check());
+      XQC_RETURN_IF_ERROR(guard->AccountNodes(size));
+    }
+    if (adopt) {
+      if (counts != nullptr) counts->nodes_adopted += size;
+      Append(parent, std::move(n));
+    } else {
+      if (counts != nullptr) counts->nodes_copied += size;
+      Append(parent, DeepCopy(*n, /*keep_types=*/true));
+    }
+    return Status::OK();
   };
-  for (const Item& it : content) {
+  for (Item& it : content) {
     if (it.IsAtomic()) {
       if (prev_atomic) text.push_back(' ');
       text += it.atomic().Lexical();
@@ -52,8 +78,8 @@ Status AppendContent(const NodePtr& parent, const Sequence& content,
       continue;
     }
     flush();
-    const Node& n = *it.node();
-    switch (n.kind) {
+    NodePtr n = it.TakeNode();
+    switch (n->kind) {
       case NodeKind::kAttribute:
         if (!allow_attributes) {
           return Status::XQueryError("XPTY0004",
@@ -64,30 +90,32 @@ Status AppendContent(const NodePtr& parent, const Sequence& content,
               "XQTY0024",
               "attribute node after non-attribute content in constructor");
         }
-        XQC_RETURN_IF_ERROR(account_copy(n));
-        Append(parent, DeepCopy(n, /*keep_types=*/true));
-        continue;
-      case NodeKind::kDocument:
-        // Document nodes splice their children into the content.
-        for (const NodePtr& c : n.children) {
-          XQC_RETURN_IF_ERROR(account_copy(*c));
-          Append(parent, DeepCopy(*c, /*keep_types=*/true));
+        break;
+      case NodeKind::kDocument: {
+        // Document nodes splice their children into the content; a
+        // document nobody else holds gives up the children nobody else
+        // holds.
+        bool own_children = n->parent == nullptr && Unshared(n);
+        for (NodePtr& c : n->children) {
+          bool adopt = own_children && Unshared(c);
+          XQC_RETURN_IF_ERROR(place(adopt ? std::move(c) : c, adopt));
         }
         seen_non_attribute = true;
         continue;
+      }
       case NodeKind::kText:
         // Merge adjacent text directly into the pending buffer so runs of
         // text nodes coalesce.
-        text += n.value;
+        text += n->value;
         prev_atomic = false;
         seen_non_attribute = true;
         continue;
       default:
-        XQC_RETURN_IF_ERROR(account_copy(n));
-        Append(parent, DeepCopy(n, /*keep_types=*/true));
         seen_non_attribute = true;
-        continue;
+        break;
     }
+    bool adopt = n->parent == nullptr && Unshared(n);
+    XQC_RETURN_IF_ERROR(place(std::move(n), adopt));
   }
   flush();
   return Status::OK();
@@ -105,12 +133,12 @@ Status AccountNew(QueryGuard* guard, int64_t bytes) {
 
 }  // namespace
 
-Result<NodePtr> ConstructElement(Symbol name, const Sequence& content,
-                                 QueryGuard* guard) {
+Result<NodePtr> ConstructElement(Symbol name, Sequence content,
+                                 QueryGuard* guard, ConstructCounts* counts) {
   XQC_RETURN_IF_ERROR(AccountNew(guard, 0));
   NodePtr elem = NewElement(name);
-  XQC_RETURN_IF_ERROR(
-      AppendContent(elem, content, /*allow_attributes=*/true, guard));
+  XQC_RETURN_IF_ERROR(AppendContent(elem, std::move(content),
+                                    /*allow_attributes=*/true, guard, counts));
   FinalizeTree(elem);
   return elem;
 }
@@ -150,11 +178,12 @@ Result<NodePtr> ConstructPI(Symbol target, const Sequence& content,
   return pi;
 }
 
-Result<NodePtr> ConstructDocument(const Sequence& content, QueryGuard* guard) {
+Result<NodePtr> ConstructDocument(Sequence content, QueryGuard* guard,
+                                  ConstructCounts* counts) {
   XQC_RETURN_IF_ERROR(AccountNew(guard, 0));
   NodePtr doc = NewDocument();
-  XQC_RETURN_IF_ERROR(
-      AppendContent(doc, content, /*allow_attributes=*/false, guard));
+  XQC_RETURN_IF_ERROR(AppendContent(doc, std::move(content),
+                                    /*allow_attributes=*/false, guard, counts));
   FinalizeTree(doc);
   return doc;
 }

@@ -232,9 +232,14 @@ Result<Sequence> PlanEvaluator::EvalMapToItem(const Op& op, const EvalCtx& c,
       for (size_t i = 0; i < b.size(); i++) {
         EvalCtx dc = c;
         dc.tuple = &b[i];
+        dc.owned_tuple = &b[i];
         dc.items = nullptr;
         XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
         Extend(&out, std::move(v));
+        // Drop the row now, as the tuple-at-a-time loop below does by
+        // overwriting it: later rows' consuming reads then find storage
+        // unshared exactly when they would at batch size 1.
+        b[i] = Tuple();
       }
     }
   }
@@ -245,6 +250,7 @@ Result<Sequence> PlanEvaluator::EvalMapToItem(const Op& op, const EvalCtx& c,
     if (!has) return out;
     EvalCtx dc = c;
     dc.tuple = &t;
+    dc.owned_tuple = &t;
     dc.items = nullptr;
     XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
     Extend(&out, std::move(v));
@@ -420,6 +426,19 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
       return Sequence{};
     }
     case OpKind::kFieldAccess: {
+      if (op.inputs[0]->kind == OpKind::kIn) {
+        // IN#f reads the context tuple in place, charging the guard step
+        // the tuple evaluation it replaces would have. A consuming read on
+        // a lent tuple hands the value over (construct.h).
+        XQC_RETURN_IF_ERROR(guard_->Check());
+        if (c.tuple == nullptr) return Sequence{};
+        if (op.consume && c.owned_tuple == c.tuple) {
+          return c.owned_tuple->Take(op.name);
+        }
+        const Sequence* v = c.tuple->Get(op.name);
+        if (v == nullptr) return Sequence{};
+        return *v;
+      }
       XQC_ASSIGN_OR_RETURN(Tuple t, EvalTuple(*op.inputs[0], c));
       const Sequence* v = t.Get(op.name);
       if (v == nullptr) return Sequence{};
@@ -429,12 +448,14 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
       if (options_.streaming) return EvalMapToItem(op, c, kEvalNoLimit);
       XQC_ASSIGN_OR_RETURN(Table table, EvalTable(*op.inputs[0], c));
       Sequence out;
-      for (const Tuple& t : table) {
+      for (Tuple& t : table) {
         EvalCtx dc = c;
         dc.tuple = &t;
+        dc.owned_tuple = &t;
         dc.items = nullptr;
         XQC_ASSIGN_OR_RETURN(Sequence v, EvalItems(*op.deps[0], dc));
         Extend(&out, std::move(v));
+        t = Tuple();  // as in EvalMapToItem
       }
       return out;
     }
@@ -905,6 +926,7 @@ Result<Table> PlanEvaluator::EvalGroupBy(const Op& op, const EvalCtx& c) {
     if (!row.is_null) {
       EvalCtx pc = c;
       pc.tuple = &t;
+      pc.owned_tuple = &t;
       pc.items = nullptr;
       XQC_ASSIGN_OR_RETURN(row.items, EvalItems(pre, pc));
     }
@@ -1090,36 +1112,35 @@ Result<Sequence> PlanEvaluator::EvalConstructor(const Op& op,
     }
     name = Symbol(nv[0].StringValue());
   }
+  Result<NodePtr> n = NodePtr();
+  ConstructCounts counts;
   switch (op.kind) {
-    case OpKind::kElement: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructElement(name, content, guard_));
-      return Sequence{std::move(n)};
-    }
-    case OpKind::kAttribute: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n,
-                           ConstructAttribute(name, content, guard_));
-      return Sequence{std::move(n)};
-    }
-    case OpKind::kText: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructText(content, guard_));
-      if (n == nullptr) return Sequence{};
-      return Sequence{std::move(n)};
-    }
-    case OpKind::kComment: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructComment(content, guard_));
-      return Sequence{std::move(n)};
-    }
-    case OpKind::kPI: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructPI(name, content, guard_));
-      return Sequence{std::move(n)};
-    }
-    case OpKind::kDocumentNode: {
-      XQC_ASSIGN_OR_RETURN(NodePtr n, ConstructDocument(content, guard_));
-      return Sequence{std::move(n)};
-    }
+    case OpKind::kElement:
+      n = ConstructElement(name, std::move(content), guard_, &counts);
+      break;
+    case OpKind::kAttribute:
+      n = ConstructAttribute(name, content, guard_);
+      break;
+    case OpKind::kText:
+      n = ConstructText(content, guard_);
+      break;
+    case OpKind::kComment:
+      n = ConstructComment(content, guard_);
+      break;
+    case OpKind::kPI:
+      n = ConstructPI(name, content, guard_);
+      break;
+    case OpKind::kDocumentNode:
+      n = ConstructDocument(std::move(content), guard_, &counts);
+      break;
     default:
       return Status::Internal("not a constructor operator");
   }
+  stats_.nodes_copied += counts.nodes_copied;
+  stats_.nodes_adopted += counts.nodes_adopted;
+  if (!n.ok()) return n.status();
+  if (n.value() == nullptr) return Sequence{};  // empty text constructor
+  return Sequence{n.take()};
 }
 
 }  // namespace xqc

@@ -69,6 +69,10 @@ struct ExecStats {
   int64_t guard_checks = 0;        // QueryGuard slow-path checks run
   int64_t guard_steps = 0;         // amortized eval steps credited
   int64_t peak_memory_bytes = 0;   // total guard-accounted allocation
+  // Constructor content nodes (whole subtrees, construct.h): deep-copied
+  // vs adopted without a copy.
+  int64_t nodes_copied = 0;
+  int64_t nodes_adopted = 0;
   TreeJoinStats tree_join;         // sort elisions / index use (axes.h)
   DocStoreStats doc_store;         // fn:doc resolution (document_store.h)
   // --- intra-query parallelism (runtime/parallel.h) ---
@@ -85,6 +89,14 @@ struct EvalCtx {
   const Tuple* tuple = nullptr;
   const Sequence* items = nullptr;
   const std::unordered_map<Symbol, Sequence>* params = nullptr;
+  /// The hand-over lease (construct.h): set, to the same tuple as `tuple`,
+  /// only by loops that own that tuple and evaluate their dependent once
+  /// for it — the MapToItem loops, the ResultStream cursor and GroupBy's
+  /// pre-grouping pass. A
+  /// consuming IN#f read (Op::consume) may then move the field out of the
+  /// tuple (Tuple::Take). Honored only while it equals `tuple`, so context
+  /// copies that rebind IN never inherit it.
+  Tuple* owned_tuple = nullptr;
 };
 
 class MaterializedInner;       // joins.h: Figure 6 equality index

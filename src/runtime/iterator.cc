@@ -271,6 +271,7 @@ class ProductIter : public TupleIterator {
       for (size_t i = 0; i < in_.size(); i++) {
         out->push(Tuple::Concat(left_[0], in_[i]));
       }
+      in_.clear();
     }
     return Status::OK();
   }
@@ -326,6 +327,7 @@ class MapIter : public TupleIterator {
       XQC_ASSIGN_OR_RETURN(Tuple r, ev_->EvalTuple(*op_->deps[0], dc));
       out->push(std::move(r));
     }
+    in_.clear();
     return Status::OK();
   }
   void Close() override { child_->Close(); }
@@ -446,6 +448,7 @@ class MapConcatIter : public TupleIterator {
             }
             out->push(std::move(joined));
           }
+          in_.clear();
           continue;
         }
         bool unmatched = outer_ && !inner_matched_;
@@ -528,6 +531,7 @@ class MapIndexIter : public TupleIterator {
       idx.Set(op_->name, {AtomicValue::Integer(++i_)});
       out->push(Tuple::Concat(in_[i], idx));
     }
+    in_.clear();
     return Status::OK();
   }
   void Close() override { child_->Close(); }

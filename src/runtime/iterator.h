@@ -29,16 +29,22 @@
 namespace xqc {
 
 /// A reusable buffer of tuples moved between iterators by NextBatch().
-/// clear() only resets the logical size: slots (and the vectors inside
-/// their tuples) are recycled across refills, so a steady-state pipeline
-/// allocates no per-batch memory.
+/// Slots are recycled across refills, so a steady-state pipeline allocates
+/// no per-batch slot memory. clear() releases the tuples it drops: a stale
+/// slot would keep sharing field storage with tuples already passed on,
+/// which turns a consuming field read downstream (Tuple::Take) into a copy.
+/// An operator that builds its output from copies of its input batch
+/// clears that batch once it is consumed.
 class TupleBatch {
  public:
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   Tuple& operator[](size_t i) { return slots_[i]; }
   const Tuple& operator[](size_t i) const { return slots_[i]; }
-  void clear() { size_ = 0; }
+  void clear() {
+    for (size_t i = 0; i < size_; i++) slots_[i] = Tuple();
+    size_ = 0;
+  }
 
   /// Appends by move, reusing a cleared slot when one exists.
   void push(Tuple&& t) {

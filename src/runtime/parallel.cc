@@ -86,6 +86,8 @@ void MergeExecStats(ExecStats* a, const ExecStats& b) {
   a->nested_loop_joins += b.nested_loop_joins;
   a->group_bys += b.group_bys;
   a->composite_joins += b.composite_joins;
+  a->nodes_copied += b.nodes_copied;
+  a->nodes_adopted += b.nodes_adopted;
   a->join_index_reuses += b.join_index_reuses;
   a->specialized_joins += b.specialized_joins;
   a->source_tuples += b.source_tuples;

@@ -17,14 +17,15 @@ namespace xqc {
 /// number of in-scope variables), so storage is a flat vector with linear
 /// lookup on interned symbols (integer compares). Field values are shared
 /// immutably: copying tuples — the bread and butter of MapConcat / Product /
-/// Join — copies pointers, not item sequences.
+/// Join — copies pointers, not item sequences. The one exception is Take,
+/// which empties a field whose storage no other tuple shares.
 class Tuple {
  public:
   Tuple() = default;
 
   /// Sets (or overwrites) a field.
   void Set(Symbol field, Sequence value) {
-    auto shared = std::make_shared<const Sequence>(std::move(value));
+    auto shared = std::make_shared<Sequence>(std::move(value));
     for (auto& [f, v] : entries_) {
       if (f == field) {
         v = std::move(shared);
@@ -42,12 +43,28 @@ class Tuple {
     return nullptr;
   }
 
+  /// Hands the field's value to the caller: moved out (leaving the field
+  /// present but empty) when this tuple holds the only reference to its
+  /// storage, copied when a tuple copy (Concat, Product, Join) shares it.
+  /// Empty if the field is absent. Only a read that no other operator of
+  /// the query repeats may take (Op::consume, eval.h's EvalCtx).
+  Sequence Take(Symbol field) {
+    for (auto& [f, v] : entries_) {
+      if (f != field) continue;
+      if (v.use_count() != 1) return *v;
+      Sequence out = std::move(*v);
+      v->clear();
+      return out;
+    }
+    return Sequence{};
+  }
+
   bool Has(Symbol field) const { return Get(field) != nullptr; }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
-  const std::vector<std::pair<Symbol, std::shared_ptr<const Sequence>>>&
-  entries() const {
+  const std::vector<std::pair<Symbol, std::shared_ptr<Sequence>>>& entries()
+      const {
     return entries_;
   }
 
@@ -64,7 +81,7 @@ class Tuple {
   }
 
  private:
-  std::vector<std::pair<Symbol, std::shared_ptr<const Sequence>>> entries_;
+  std::vector<std::pair<Symbol, std::shared_ptr<Sequence>>> entries_;
 };
 
 /// A table: an ordered sequence of tuples.

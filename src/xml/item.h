@@ -26,6 +26,9 @@ class Item {
 
   const AtomicValue& atomic() const { return std::get<AtomicValue>(v_); }
   const NodePtr& node() const { return std::get<NodePtr>(v_); }
+  /// Moves the node reference out, leaving this item holding a null node
+  /// (for constructors that adopt their content; see construct.h).
+  NodePtr TakeNode() { return std::move(std::get<NodePtr>(v_)); }
 
   /// The item's string value (lexical form for atomics, string-value for
   /// nodes).

@@ -15,9 +15,13 @@ void CollectText(const Node& n, std::string* out) {
   for (const NodePtr& c : n.children) CollectText(*c, out);
 }
 
+/// Nodes in the subtree rooted at `n`. A finalized child subtree (one that
+/// a constructor adopted whole) answers from its interval numbering.
 uint64_t CountNodes(const Node& n) {
   uint64_t total = 1 + n.attributes.size();
-  for (const NodePtr& c : n.children) total += CountNodes(*c);
+  for (const NodePtr& c : n.children) {
+    total += c->start != 0 ? c->SubtreeSize() : CountNodes(*c);
+  }
   return total;
 }
 

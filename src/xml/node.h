@@ -96,6 +96,9 @@ void Append(const NodePtr& parent, NodePtr child);
 /// increasing id block, so nodes of distinct trees compare by their tree's
 /// finalization order. Invalidates any DocumentIndex built for the tree.
 /// Safe to call repeatedly; must not race with readers of the tree.
+/// Sizing the id block trusts the numbering of already-finalized subtrees
+/// below the root (Node::SubtreeSize), so a finalized subtree may gain a
+/// new parent but must not itself be mutated before it is re-finalized.
 void FinalizeTree(const NodePtr& root);
 
 /// Reserves a contiguous block of `count` interval ids from the same
@@ -107,8 +110,8 @@ void FinalizeTree(const NodePtr& root);
 /// other finalized tree's.
 uint64_t AllocateOrderBlock(uint64_t count);
 
-/// Deep copy of a subtree. The copy is detached and unfinalized; type
-/// annotations are preserved iff `keep_types`.
+/// Deep copy of a subtree. The copy is detached and unfinalized (every
+/// node's start is 0); type annotations are preserved iff `keep_types`.
 NodePtr DeepCopy(const Node& node, bool keep_types);
 
 /// Total order on nodes consistent with document order; nodes from distinct

@@ -157,6 +157,37 @@ TEST(ClioPlans, NestedBlocksRunAsFlatJoins) {
   EXPECT_EQ(q3.value().last_exec_stats().composite_joins, 1);
 }
 
+TEST(ClioPlans, NestedResultsAreAdoptedNotCopied) {
+  // Table 5's document size. Each inner block's result reaches its
+  // enclosing constructor through one GroupBy field read that hands the
+  // nodes over, so no constructor level copies them again. Adopted nodes
+  // are charged like copies: peak_memory_bytes stays at the values of
+  // always copying.
+  ClioOptions opts;
+  opts.target_bytes = 250 * 1024;
+  Result<NodePtr> doc = GenerateDblpDocument(opts);
+  ASSERT_OK(doc);
+  DynamicContext ctx;
+  ctx.BindVariable(Symbol("dblp"), {Item(doc.value())});
+  Engine engine;
+  struct Expected {
+    int level;
+    int64_t nodes;  // constructor content nodes, formerly all copied
+    int64_t peak_memory_bytes;
+  };
+  const Expected kExpected[] = {
+      {2, 22976, 4513824}, {3, 29900, 5944736}, {4, 91334, 17732581}};
+  for (const Expected& e : kExpected) {
+    Result<PreparedQuery> q = engine.Prepare(ClioQuery(e.level));
+    ASSERT_OK(q);
+    ASSERT_OK(q.value().Execute(&ctx));
+    const ExecStats& s = q.value().last_exec_stats();
+    EXPECT_EQ(s.nodes_copied, 0) << "N" << e.level;
+    EXPECT_EQ(s.nodes_adopted, e.nodes) << "N" << e.level;
+    EXPECT_EQ(s.peak_memory_bytes, e.peak_memory_bytes) << "N" << e.level;
+  }
+}
+
 TEST(ClioPlans, JoinKeySidesComeFromThePlan) {
   // Regression: join-key sides used to be read off the first left tuple,
   // so an author without papers first in the document (a null row leading

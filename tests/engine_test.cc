@@ -374,6 +374,8 @@ void ExpectStatsEqual(const ExecStats& a, const ExecStats& b,
   EXPECT_EQ(a.guard_checks, b.guard_checks) << what;
   EXPECT_EQ(a.guard_steps, b.guard_steps) << what;
   EXPECT_EQ(a.peak_memory_bytes, b.peak_memory_bytes) << what;
+  EXPECT_EQ(a.nodes_copied, b.nodes_copied) << what;
+  EXPECT_EQ(a.nodes_adopted, b.nodes_adopted) << what;
   EXPECT_EQ(a.tree_join.ddo_sorts, b.tree_join.ddo_sorts) << what;
   EXPECT_EQ(a.tree_join.ddo_dedups, b.tree_join.ddo_dedups) << what;
   EXPECT_EQ(a.tree_join.ddo_skip_static, b.tree_join.ddo_skip_static) << what;
@@ -410,6 +412,13 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
       // subsequence over an unbounded generator.
       "sum(subsequence(for $e in doc(\"d.xml\")/r/e return "
       "xs:integer($e/v), 2, 5))",
+      // Nested constructor blocks: adopted level by level, except where a
+      // let-bound block is placed twice.
+      "<r>{for $a in doc(\"d.xml\")/r/e[v < 20] return <a>{"
+      "for $b in doc(\"d.xml\")/r/e where $b/@k = $a/@k and $b/v < 40 "
+      "return <b>{$b/v}</b>}</a>}</r>",
+      "for $e in doc(\"d.xml\")/r/e[v < 30] let $x := <x>{$e/v}</x> "
+      "return (<a>{$x}</a>, <b>{$x}</b>)",
   };
 
   Engine engine;
@@ -421,8 +430,13 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
         engine.Execute("count(doc(\"d.xml\")//v)", &ctx);
     ASSERT_OK(warm);
   }
+  // Which route constructor content takes does not depend on the execution
+  // mode either: the streaming oracle's copy counters bind the materializing
+  // runs too.
+  ExecStats streaming_oracle[std::size(kQueries)];
   for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
-    for (const char* query : kQueries) {
+    for (size_t qi = 0; qi < std::size(kQueries); qi++) {
+      const char* query = kQueries[qi];
       ExecStats oracle;
       std::string oracle_out;
       for (int batch : {1, 1024}) {
@@ -440,6 +454,15 @@ TEST(EngineApi, ExecStatsBatchSizeInvariant) {
         if (batch == 1) {
           oracle = q.value().last_exec_stats();
           oracle_out = r.value();
+          if (mode == ExecMode::kStreaming) {
+            streaming_oracle[qi] = oracle;
+          } else {
+            EXPECT_EQ(oracle.nodes_copied, streaming_oracle[qi].nodes_copied)
+                << what;
+            EXPECT_EQ(oracle.nodes_adopted,
+                      streaming_oracle[qi].nodes_adopted)
+                << what;
+          }
         } else {
           EXPECT_EQ(r.value(), oracle_out) << what;
           ExpectStatsEqual(q.value().last_exec_stats(), oracle, what);

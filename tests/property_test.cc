@@ -492,7 +492,11 @@ const char* kNestedDoc = R"(
 
 class NestedGen {
  public:
-  explicit NestedGen(uint64_t seed) : gen_(seed) {}
+  /// With `lets`, a nested block may instead be let-bound and its result
+  /// read 0, 1 or 2 times or navigated ($r/.., root(), `is`): the cases
+  /// where constructor copy elision must fall back to copying.
+  explicit NestedGen(uint64_t seed, bool lets = false)
+      : gen_(seed), lets_(lets) {}
 
   std::string Query() {
     vars_.clear();
@@ -518,19 +522,43 @@ class NestedGen {
       }
     }
     vars_.push_back(x);
-    std::string children;
+    std::string lets, children;
     if (below > 0) {
       static const char* const kElems[] = {"b", "c", "d"};
       int siblings = 1 + gen_.Below(2);
       for (int i = 0; i < siblings; i++) {
-        children += "<s" + std::to_string(i) + ">{ " +
-                    Block(kElems[gen_.Below(3)], below - 1) + " }</s" +
-                    std::to_string(i) + ">";
+        std::string block = Block(kElems[gen_.Below(3)], below - 1);
+        std::string s = "s" + std::to_string(i), t = "t" + std::to_string(i);
+        int use = lets_ ? static_cast<int>(gen_.Below(5)) : 0;
+        if (use == 0) {
+          children += "<" + s + ">{ " + block + " }</" + s + ">";
+          continue;
+        }
+        std::string r = "$r" + std::to_string(counter_++);
+        lets += " let " + r + " := (" + block + ")";
+        switch (use) {
+          case 1:  // never read
+            children += "<" + s + "/>";
+            break;
+          case 2:  // read once: handed over
+            children += "<" + s + ">{ " + r + " }</" + s + ">";
+            break;
+          case 3:  // read twice: copied
+            children += "<" + s + ">{ " + r + " }</" + s + "><" + t + ">{ " +
+                        r + " }</" + t + ">";
+            break;
+          default:  // navigated after being placed
+            children += "<" + s + ">{ " + r + " }</" + s + "><" + t +
+                        ">{ count(" + r + "/..), for $e in " + r +
+                        " return root($e) is $e, exists(<w>{ " + r +
+                        " }</w>/*[. is " + r + "[1]]) }</" + t + ">";
+            break;
+        }
       }
     }
     vars_.pop_back();
-    return "for $" + x + " in $doc/db/" + elem + where + " return <" + elem +
-           " id=\"{$" + x + "/@id}\">" + children + "</" + elem + ">";
+    return "for $" + x + " in $doc/db/" + elem + lets + where + " return <" +
+           elem + " id=\"{$" + x + "/@id}\">" + children + "</" + elem + ">";
   }
 
   std::string Conjunct(const std::string& y, const std::string& x) {
@@ -544,6 +572,7 @@ class NestedGen {
   }
 
   Gen gen_;
+  bool lets_;
   std::vector<std::string> vars_;
   int counter_ = 0;
 };
@@ -553,12 +582,15 @@ class NestedFlworTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(NestedFlworTest, FlatPlansMatchInterpreter) {
   NodePtr doc = MustParseXml(kNestedDoc);
   NestedGen gen(GetParam());
+  NestedGen let_gen(GetParam(), /*lets=*/true);
   Engine engine;
   const JoinImpl kJoins[] = {JoinImpl::kNestedLoop, JoinImpl::kHash,
                              JoinImpl::kSort};
   const int kQueriesPerSeed = 3;
-  for (int qi = 0; qi < kQueriesPerSeed; qi++) {
-    std::string query = "declare variable $doc external; " + gen.Query();
+  for (int qi = 0; qi < 2 * kQueriesPerSeed; qi++) {
+    bool lets = qi >= kQueriesPerSeed;
+    std::string query = "declare variable $doc external; " +
+                        (lets ? let_gen.Query() : gen.Query());
     DynamicContext ctx;
     ctx.BindVariable(Symbol("doc"), {Item(doc)});
     std::string reference = testutil::InterpToString(query, &ctx);
@@ -616,11 +648,37 @@ TEST(NestedFlworFamily, ExercisesFlatteningAndCompositeKeys) {
       DynamicContext ctx;
       ctx.BindVariable(Symbol("doc"), {Item(doc)});
       ASSERT_OK(pq.value().Execute(&ctx));
-      composite += static_cast<int>(pq.value().last_exec_stats().composite_joins);
+      const ExecStats& stats = pq.value().last_exec_stats();
+      composite += static_cast<int>(stats.composite_joins);
+      // Every nested block's result is handed to its constructor.
+      EXPECT_EQ(stats.nodes_copied, 0) << "query: " << query;
     }
   }
   EXPECT_GT(outer_maps, 0);
   EXPECT_GT(composite, 0);
+}
+
+TEST(NestedFlworFamily, LetBoundBlocksExerciseBothRoutes) {
+  // Let-bound block results read twice or navigated must be copied; those
+  // read once are still handed over.
+  NodePtr doc = MustParseXml(kNestedDoc);
+  Engine engine;
+  int64_t copied = 0, adopted = 0;
+  for (uint64_t seed = 1; seed < 49; seed++) {
+    NestedGen gen(seed, /*lets=*/true);
+    for (int qi = 0; qi < 3; qi++) {
+      std::string query = "declare variable $doc external; " + gen.Query();
+      Result<PreparedQuery> pq = engine.Prepare(query);
+      ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+      DynamicContext ctx;
+      ctx.BindVariable(Symbol("doc"), {Item(doc)});
+      ASSERT_OK(pq.value().Execute(&ctx));
+      copied += pq.value().last_exec_stats().nodes_copied;
+      adopted += pq.value().last_exec_stats().nodes_adopted;
+    }
+  }
+  EXPECT_GT(copied, 0);
+  EXPECT_GT(adopted, copied);
 }
 
 // The differential oracle extended to the concurrent path: a generated
