@@ -101,6 +101,7 @@ struct ResultStream::Impl {
   PlanEvaluator eval;
   bool streaming = false;
   TupleIteratorPtr iter;                 // streaming: the top tuple stream
+  TupleBatch pulled;                     // streaming: the current tuple
   const Op* per_tuple = nullptr;         // streaming: MapToItem's item plan
   Sequence buf;                          // current tuple's items / full result
   size_t pos = 0;
@@ -113,23 +114,23 @@ Result<bool> ResultStream::Next(Item* out) {
   Impl& im = *impl_;
   while (im.pos >= im.buf.size()) {
     if (!im.streaming || im.done) return false;
-    // The incremental cursor always pulls tuple-at-a-time, whatever
+    // The incremental cursor always pulls one tuple at a time, whatever
     // EngineOptions::batch_size says: its demand is one tuple, and
     // prefetching a batch here would evaluate input a caller that stops
     // early never asked for (and delay cancellation by a batch).
     // Unamortized check per tuple: a RequestCancel between pulls is honored
     // on the very next pull, not after kCheckInterval more steps.
     XQC_RETURN_IF_ERROR(im.active->CheckNow());
-    Tuple t;
-    XQC_ASSIGN_OR_RETURN(bool has, im.iter->Next(&t));
-    if (!has) {
+    XQC_RETURN_IF_ERROR(im.iter->NextBatch(&im.pulled, 1));
+    if (im.pulled.empty()) {
       im.done = true;
       return false;
     }
     EvalCtx dc;
-    dc.tuple = &t;
-    dc.owned_tuple = &t;
+    dc.tuple = &im.pulled[0];
+    dc.owned_tuple = &im.pulled[0];
     XQC_ASSIGN_OR_RETURN(im.buf, im.eval.EvalItems(*im.per_tuple, dc));
+    im.pulled[0] = Tuple();
     im.pos = 0;
   }
   // The buffered fallback already charged the whole result in Execute().

@@ -1,9 +1,9 @@
 // The algebra evaluator: interprets Table 1 plans over the physical data
-// model, with pluggable join algorithms (Section 6) and two execution
-// modes: the original materializing mode (every operator computes its
-// full table) and a pull-based iterator mode (iterator.h) that streams
-// table-side operators and terminates early under fn:exists / fn:empty /
-// positional heads / fn:subsequence / quantifiers.
+// model, with pluggable join algorithms (Section 6). Table operators run
+// as pull-based iterators (iterator.h); in streaming mode, consumers that
+// need only a prefix — fn:exists / fn:empty / positional heads /
+// fn:subsequence / quantifiers — terminate early, and in materializing
+// mode every table is computed in full.
 #ifndef XQC_RUNTIME_EVAL_H_
 #define XQC_RUNTIME_EVAL_H_
 
@@ -30,9 +30,10 @@ enum class JoinImpl {
 
 struct ExecOptions {
   JoinImpl join_impl = JoinImpl::kHash;
-  /// Pull-based iterator execution with early termination. Results are
-  /// identical to the materializing mode except that early termination
-  /// may skip errors in input suffixes a limited consumer never needs
+  /// Early termination: limited consumers stop pulling once they have the
+  /// prefix they need. Off (materializing mode), every table is computed
+  /// in full. Results are identical except that early termination may
+  /// skip errors in input suffixes a limited consumer never needs
   /// (permitted by XQuery's evaluation-order rules).
   bool streaming = false;
   /// Always discharge TreeJoin's distinct-doc-order postcondition with the
@@ -41,13 +42,12 @@ struct ExecOptions {
   /// Consult (and lazily build) per-document structural indexes for
   /// descendant / following / preceding steps.
   bool use_doc_index = true;
-  /// Tuples moved per NextBatch() call in streaming mode. 1 = the
-  /// tuple-at-a-time oracle (every operator pulls through Next());
-  /// values > 1 drive full-consumption pipelines through TupleBatch.
-  /// Limited consumers (fn:exists, EBV prefixes, fn:subsequence,
-  /// quantifiers) always run tuple-at-a-time — their demand is inherently
-  /// one tuple — so early-exit behavior and stats match the oracle
-  /// exactly. Ignored in materializing mode.
+  /// Demand of full consumers: the most tuples one NextBatch() call moves
+  /// (values < 1 act as 1). 1 is the demand-bound oracle the batch-size
+  /// parity tests compare against. Limited consumers (fn:exists, EBV
+  /// prefixes, fn:subsequence, quantifiers, the ResultStream cursor)
+  /// always pull one tuple at a time, so early-exit behavior and stats do
+  /// not depend on it.
   int batch_size = 1024;
 };
 
@@ -108,8 +108,7 @@ class MaterializedRangeInner;  // joins.h: ordered range index
 /// from the fields the two input plans bind (TableLayout), never from the
 /// data — and is done once per Join op; PlanJoinStrategy then builds (or
 /// reuses) the index per execution and ProbeJoinTuple probes it per left
-/// tuple. The same machinery backs the materializing and the streaming
-/// join.
+/// tuple.
 struct JoinStrategy {
   enum class Kind {
     kNestedLoop,  // full predicate per concatenated tuple
@@ -155,6 +154,8 @@ class PlanEvaluator {
   Status PrepareGlobals();
 
   /// Typed evaluation entry points (IN resolves per expected type).
+  /// EvalTable computes IN, the single-tuple constructors, GroupBy and
+  /// OrderBy itself and drains OpenTable for every other table operator.
   Result<Sequence> EvalItems(const Op& op, const EvalCtx& c);
   Result<Table> EvalTable(const Op& op, const EvalCtx& c);
   Result<Tuple> EvalTuple(const Op& op, const EvalCtx& c);
@@ -167,14 +168,14 @@ class PlanEvaluator {
                                     size_t limit);
 
   /// Opens a pull iterator over a table-side operator (iterator.cc).
-  /// The EvalCtx's pointees must outlive the iterator. GroupBy/OrderBy
-  /// and non-table operators materialize behind the iterator.
+  /// The EvalCtx's pointees must outlive the iterator. GroupBy/OrderBy,
+  /// IN and the single-tuple constructors materialize behind it.
   Result<TupleIteratorPtr> OpenTable(const Op& op, const EvalCtx& c);
 
   /// Effective boolean value of a dependent predicate on tuple `t`.
   Result<bool> EvalPredicate(const Op& pred, const Tuple& t, const EvalCtx& c);
 
-  /// Join machinery shared by EvalJoin and the streaming JoinIter.
+  /// Join machinery of JoinIter (iterator.cc).
   /// MaterializeJoinRight evaluates (or fetches from cache) the inner
   /// side; PlanJoinStrategy picks the physical algorithm from the plan's
   /// static key analysis and builds its index; ProbeJoinTuple appends all
@@ -210,7 +211,6 @@ class PlanEvaluator {
   QueryGuard* guard() const { return guard_; }
 
  private:
-  Result<Table> EvalJoin(const Op& op, const EvalCtx& c, bool outer);
   /// The static part of PlanJoinStrategy (kind, keys, modes, residual),
   /// computed once per Join op and cached in join_keys_.
   const JoinStrategy& AnalyzeJoin(const Op& op);
@@ -218,10 +218,14 @@ class PlanEvaluator {
   Result<Table> EvalOrderBy(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalCall(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalConstructor(const Op& op, const EvalCtx& c);
-  /// Streaming MapToItem: pulls input tuples on demand, stopping once
-  /// `limit` items have been produced.
+  /// MapToItem: pulls input tuples on demand, stopping once `limit` items
+  /// have been produced.
   Result<Sequence> EvalMapToItem(const Op& op, const EvalCtx& c,
                                  size_t limit);
+  size_t BatchSize() const {
+    return options_.batch_size < 1 ? 1
+                                   : static_cast<size_t>(options_.batch_size);
+  }
 
   const CompiledQuery* query_;
   DynamicContext* ctx_;
