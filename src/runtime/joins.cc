@@ -11,12 +11,6 @@
 namespace xqc {
 namespace {
 
-Tuple NullRow(Symbol null_field, bool is_null, const Tuple& base) {
-  Tuple flag;
-  flag.Set(null_field, {AtomicValue::Boolean(is_null)});
-  return Tuple::Concat(flag, base);
-}
-
 /// One hash-table entry: the inner tuple's ordinal position plus where its
 /// ORIGINAL key values (before promotion, one per key component) are stored
 /// (Figure 6 stores (key, typeof(key), tup, order); the tuple itself is
@@ -255,8 +249,10 @@ Result<std::vector<size_t>> AllMatches(const MaterializedInner& index,
 
 }  // namespace
 
-Tuple OuterNullRow(Symbol null_field, const Tuple& base) {
-  return NullRow(null_field, true, base);
+Tuple NullRow(Symbol null_field, bool is_null, const Tuple& base) {
+  Tuple flag;
+  flag.Set(null_field, {AtomicValue::Boolean(is_null)});
+  return Tuple::Concat(flag, base);
 }
 
 Status NestedLoopProbe(const Tuple& left, const Table& right,
