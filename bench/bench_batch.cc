@@ -1,14 +1,13 @@
 // Batched (vectorized) iterator execution benchmarks.
 //
-// The streaming engine's hot iterators — scan, select, map/projection,
-// MapConcat, MapFromItem, joins — produce tuples in fixed-size batches
-// (EngineOptions::batch_size, default 1024) instead of one virtual
-// Next() call per tuple. Batching amortizes the per-tuple iterator-layer
-// costs: virtual dispatch through the operator tree, QueryGuard::Check()
-// bookkeeping (CheckSteps(n) credits a whole batch at once), and Tuple
-// hand-off between operators. batch_size=1 runs the original
-// tuple-at-a-time loops unchanged and is the parity oracle the tests
-// compare against.
+// The engine's iterators — scan, select, map/projection, MapConcat,
+// MapFromItem, joins — hand full consumers tuples in batches of
+// EngineOptions::batch_size (default 1024). Batching amortizes the
+// per-tuple iterator-layer costs: virtual dispatch through the operator
+// tree, QueryGuard::Check() bookkeeping (CheckSteps(n) credits a whole
+// batch at once), and Tuple hand-off between operators. batch_size=1 runs
+// the same operator code one tuple per pull and is the parity oracle the
+// tests compare against.
 //
 // Each query is prepared once and only execution is timed (Prepare cost
 // is identical across batch sizes and would otherwise drown the

@@ -13,9 +13,9 @@
 //   --no-optimize        disable the Figure 5 rewritings
 //   --interpret          use the baseline Core interpreter
 //   --join nl|hash|sort  physical join algorithm (default hash)
-//   --exec stream|mat    iterator vs materializing execution (default stream)
-//   --batch-size <n>     tuples per streaming batch (default 1024;
-//                        1 = tuple-at-a-time oracle)
+//   --exec stream|mat    early termination on / off (default stream)
+//   --batch-size <n>     tuples per iterator pull (default 1024;
+//                        1 = demand-bound oracle)
 //   --parallelism <n>    partition eligible fn:collection scans across up
 //                        to n concurrent workers (default 1 = the serial,
 //                        byte-identical oracle)

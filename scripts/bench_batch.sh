@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the batched-iterator-execution benchmarks (bench/bench_batch.cc)
 # and writes the results to BENCH_batch.json at the repo root. Each query
-# is swept over batch_size {1, 8, 64, 1024}; batch=1 is the
-# tuple-at-a-time oracle, so the per-tuple overhead reduction is the
-# Batch/1 vs Batch/1024 time ratio.
+# is swept over batch_size {1, 8, 64, 256, 1024}; batch=1 pulls one tuple
+# per call through the same operator code, so the per-tuple overhead
+# reduction is the Batch/1 vs Batch/1024 time ratio.
 #
 # Usage: scripts/bench_batch.sh [extra benchmark flags...]
 #   XQC_SCALE=<float>  scales document sizes (see bench/bench_util.h)

@@ -39,14 +39,18 @@ if [[ "${1:-}" != "--sanitize-only" ]]; then
   echo "=== batched-execution parity sweep + bench_batch smoke ==="
   # The batch-size ablations: corpus + property byte-parity sweeps over
   # {1,2,3,7,1024}, the ExecStats invariance check, and the guard
-  # trip/allocation/early-exit parity suites, then a short pass over the
-  # batch benchmarks so bench-harness regressions surface here.
+  # trip/allocation/early-exit parity suites; the early-exit and
+  # materializing-mode checks of streaming_test; the golden ExecStats of
+  # the paper queries in both modes; then a short pass over the batch
+  # benchmarks so bench-harness regressions surface here.
   ./build/tests/corpus_test --gtest_brief=1
   ./build/tests/property_test --gtest_filter='*BatchSizesAgree*' \
     --gtest_brief=1
   ./build/tests/engine_test --gtest_filter='*BatchSizeInvariant*' \
     --gtest_brief=1
   ./build/tests/guard_test --gtest_filter='*Batched*' --gtest_brief=1
+  ./build/tests/streaming_test --gtest_brief=1
+  ./build/tests/golden_stats_test --gtest_brief=1
   XQC_SCALE="${XQC_BENCH_SMOKE_SCALE:-0.1}" ./build/bench/bench_batch \
     --benchmark_min_time=0.01 >/dev/null
 

@@ -10,9 +10,10 @@
 //   optimize, join=kNestedLoop             "Optim + nested-loop joins"
 //   optimize, join=kHash (default)         "Optim + XQuery joins"
 //
-// Orthogonally, exec_mode picks the physical iteration model for the tuple
-// algebra: kStreaming (pull-based iterators with early termination, the
-// default) or kMaterialize (full table per operator). Results are identical.
+// Orthogonally, exec_mode switches early termination in the tuple algebra:
+// kStreaming (the default) lets prefix consumers stop pulling their input;
+// kMaterialize computes every table in full. Both run the same iterators,
+// and results are identical.
 //
 // Example:
 //   xqc::Engine engine;
@@ -36,13 +37,14 @@
 
 namespace xqc {
 
-/// Physical execution mode for the tuple algebra.
+/// Execution mode for the tuple algebra. Both modes run the same batched
+/// iterators (iterator.h); they differ only in early termination.
 enum class ExecMode {
-  /// Pull-based iterator execution (iterator.h): operators stream tuple
-  /// at a time and early-terminating consumers (fn:exists, [1] heads,
-  /// fn:subsequence, quantifiers) stop pulling the input.
+  /// Early-terminating consumers (fn:exists, [1] heads, fn:subsequence,
+  /// quantifiers, a partly read ResultStream) stop pulling their input.
   kStreaming,
-  /// The original mode: every operator materializes its full table.
+  /// Early termination off: every table is computed in full, and
+  /// ExecuteStream computes the whole result up front.
   kMaterialize,
 };
 
@@ -53,7 +55,7 @@ struct EngineOptions {
   bool optimize = true;
   /// Physical join algorithm for Join / LOuterJoin.
   JoinImpl join_impl = JoinImpl::kHash;
-  /// Iterator vs materializing execution (results are identical; see
+  /// Early termination on or off (results are identical; see
   /// ExecOptions::streaming for the error-laziness caveat).
   ExecMode exec_mode = ExecMode::kStreaming;
   /// Baseline / oracle mode: TreeJoin always sorts its output, disabling
@@ -71,13 +73,12 @@ struct EngineOptions {
   /// (xqc_shell --no-snapshots): every cold load re-parses the source,
   /// which must produce byte-identical results.
   bool use_snapshots = true;
-  /// Tuples moved per batch through the streaming iterators
-  /// (ExecOptions::batch_size). 1 = the tuple-at-a-time oracle; larger
-  /// values amortize virtual dispatch and guard checks over full-
-  /// consumption pipelines while producing byte-identical results,
-  /// identical ExecStats counters, and identical guard trip points.
-  /// Values < 1 are treated as 1. Ignored by ExecMode::kMaterialize and
-  /// the interpreter.
+  /// Tuples moved per batch through the iterators by full consumers
+  /// (ExecOptions::batch_size). 1 = the demand-bound oracle; larger
+  /// values amortize virtual dispatch and guard checks while producing
+  /// byte-identical results, identical ExecStats counters, and identical
+  /// guard trip points. Values < 1 are treated as 1. Ignored by the
+  /// interpreter.
   int batch_size = 1024;
   /// Maximum concurrent partitions for intra-query parallelism
   /// (xqc_shell --parallelism). 1 (default) = strictly serial, the
