@@ -200,6 +200,10 @@ class QueryGuard {
   /// Total accounted bytes (ExecStats::peak_memory_bytes).
   int64_t peak_memory_bytes() const { return memory_bytes_; }
   int64_t steps() const { return steps_; }
+  /// Every step credited so far: steps() plus the credit still pending in
+  /// the amortization countdown. Partitioned execution re-charges this
+  /// exact count, so the parent's steps() ends where the serial run's does.
+  int64_t steps_taken() const { return steps_ + kCheckInterval - countdown_; }
   int64_t output_items() const { return output_items_; }
 
  private:

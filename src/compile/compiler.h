@@ -34,14 +34,24 @@ struct CompiledFunction {
 /// annotation pass; consumed by the parallel executor
 /// (src/runtime/parallel.h). The Op pointers alias nodes owned by `plan`.
 struct ParallelPlanInfo {
-  /// Whether the plan can be partitioned by collection member document.
+  /// Whether the plan can be partitioned: by collection member document
+  /// (`split` == nullptr) or by row ranges of a driving scan.
   bool eligible = false;
-  /// The Call[fn:collection] op whose result the executor partitions.
+  /// The op whose result the executor evaluates once and partitions: the
+  /// Call[fn:collection] op, or the IN-free item plan under the driving
+  /// scan's MapFromItem.
   const Op* source = nullptr;
   /// The single TreeJoin over the source when intra-document pre-order
   /// range splitting is additionally sound, else nullptr (doc-granular
-  /// partitions only).
+  /// partitions only). Collection mode only.
   const Op* range_split = nullptr;
+  /// Driving-scan mode: the MapToItem every unit evaluates over its row
+  /// range; the driver evaluates the rest of the plan around it.
+  const Op* split = nullptr;
+  /// Driving-scan mode: the Join / LOuterJoin ops between the split and
+  /// the driving scan, innermost first. The driver builds their (IN-free)
+  /// right sides once and shares them read-only with every unit.
+  std::vector<const Op*> builds;
   /// Human-readable reason when ineligible (for --explain / tests).
   std::string reason;
 };

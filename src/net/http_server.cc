@@ -952,6 +952,12 @@ std::string HttpServer::StatsJson() {
   out += ", \"entries\": " + std::to_string(pc.entries);
   out += ", \"bytes\": " + std::to_string(pc.bytes);
   out += "},\n";
+  out += "  \"parallel\": {";
+  out += "\"queries_split\": " + std::to_string(sc.parallel_queries_split);
+  out += ", \"partitions\": " + std::to_string(sc.parallel_partitions);
+  out += ", \"steals\": " + std::to_string(sc.parallel_steals);
+  out += ", \"fallbacks\": " + std::to_string(sc.parallel_fallbacks);
+  out += "},\n";
   out += "  \"draining\": ";
   out += draining_.load(std::memory_order_acquire) ? "true" : "false";
   out += "\n}\n";

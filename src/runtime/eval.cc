@@ -245,6 +245,12 @@ Result<Sequence> PlanEvaluator::EvalMapToItem(const Op& op, const EvalCtx& c,
 }
 
 Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
+  if (slice_ != nullptr && &op == slice_->source) {
+    // Partition slice (runtime/parallel.cc): the unit's share of the
+    // partitioned scan, or — on the driver — the split's recombined
+    // output. Charged by whoever evaluated it, not here.
+    return slice_->run ? slice_->run() : slice_->items;
+  }
   XQC_RETURN_IF_ERROR(guard_->Check());
   switch (op.kind) {
     case OpKind::kIn:
@@ -525,6 +531,19 @@ Result<Table> PlanEvaluator::EvalTable(const Op& op, const EvalCtx& c) {
     if (b.empty()) return out;
     for (size_t i = 0; i < b.size(); i++) out.push_back(std::move(b[i]));
   }
+}
+
+Result<JoinBuild> PlanEvaluator::BuildJoin(const Op& op, const EvalCtx& c) {
+  if (seeded_builds_ != nullptr) {
+    auto it = seeded_builds_->find(&op);
+    if (it != seeded_builds_->end()) return it->second;
+  }
+  JoinBuild b;
+  bool cacheable = false;
+  XQC_ASSIGN_OR_RETURN(b.right, MaterializeJoinRight(op, c, &cacheable));
+  XQC_ASSIGN_OR_RETURN(b.strategy,
+                       PlanJoinStrategy(op, c, b.right, cacheable));
+  return b;
 }
 
 Result<std::shared_ptr<const Table>> PlanEvaluator::MaterializeJoinRight(
@@ -859,11 +878,6 @@ bool SingletonNumeric(const Sequence& v, double* out) {
 }  // namespace
 
 Result<Sequence> PlanEvaluator::EvalCall(const Op& op, const EvalCtx& c) {
-  if (slice_ != nullptr && &op == slice_->source) {
-    // Partition unit of a parallelized plan: the collection scan yields
-    // just this unit's member documents (runtime/parallel.cc).
-    return slice_->docs;
-  }
   auto it = query_->functions.find(op.name);
   std::vector<Sequence> args(op.inputs.size());
   std::vector<bool> have(op.inputs.size(), false);

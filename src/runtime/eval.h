@@ -7,6 +7,7 @@
 #ifndef XQC_RUNTIME_EVAL_H_
 #define XQC_RUNTIME_EVAL_H_
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -128,14 +129,26 @@ struct JoinStrategy {
   std::shared_ptr<const MaterializedRangeInner> range_index;
 };
 
+/// The build side of one Join / LOuterJoin execution: the materialized
+/// right input and the physical strategy planned over it (with its
+/// prebuilt index).
+struct JoinBuild {
+  std::shared_ptr<const Table> right;
+  JoinStrategy strategy;
+};
+
 /// One partition unit's slice of a parallelized plan (runtime/parallel.cc):
-/// when installed on a PlanEvaluator, the plan's Call[fn:collection] source
-/// op (`source`) evaluates to `docs` instead of resolving the collection,
-/// and — for range-split units — the output of the single downward TreeJoin
-/// (`range_split`) is filtered to nodes with start in [range_lo, range_hi).
+/// when installed on a PlanEvaluator, EvalItems of the `source` op returns
+/// `items` — the unit's member documents (collection mode) or its row
+/// range of the driving scan — instead of evaluating it; with `run` set
+/// (the driver side of a driving-scan split), it returns run() instead.
+/// For range-split collection units, the output of the single downward
+/// TreeJoin (`range_split`) is filtered to nodes with start in
+/// [range_lo, range_hi).
 struct PartitionSlice {
   const Op* source = nullptr;
-  Sequence docs;
+  Sequence items;
+  std::function<Result<Sequence>()> run;
   const Op* range_split = nullptr;  // nullptr = whole-document unit
   uint64_t range_lo = 0;
   uint64_t range_hi = 0;
@@ -175,16 +188,12 @@ class PlanEvaluator {
   /// Effective boolean value of a dependent predicate on tuple `t`.
   Result<bool> EvalPredicate(const Op& pred, const Tuple& t, const EvalCtx& c);
 
-  /// Join machinery of JoinIter (iterator.cc).
-  /// MaterializeJoinRight evaluates (or fetches from cache) the inner
-  /// side; PlanJoinStrategy picks the physical algorithm from the plan's
-  /// static key analysis and builds its index; ProbeJoinTuple appends all
+  /// Join machinery of JoinIter (iterator.cc). BuildJoin returns the
+  /// seeded build (SeedJoinBuilds) or evaluates (or fetches from cache)
+  /// the inner side and plans the physical algorithm from the plan's
+  /// static key analysis, building its index; ProbeJoinTuple appends all
   /// output rows for one left tuple.
-  Result<std::shared_ptr<const Table>> MaterializeJoinRight(
-      const Op& op, const EvalCtx& c, bool* cacheable);
-  Result<JoinStrategy> PlanJoinStrategy(
-      const Op& op, const EvalCtx& c,
-      const std::shared_ptr<const Table>& right, bool right_cacheable);
+  Result<JoinBuild> BuildJoin(const Op& op, const EvalCtx& c);
   Status ProbeJoinTuple(const Op& op, const JoinStrategy& strategy,
                         const EvalCtx& c, const Tuple& left,
                         const Table& right, bool outer, Table* out);
@@ -205,6 +214,13 @@ class PlanEvaluator {
   const std::unordered_map<Symbol, Sequence>& globals() const {
     return globals_;
   }
+  /// Seeds join builds prepared by another evaluator (the driver of a
+  /// driving-scan split), shared read-only. Non-owning; the map must
+  /// outlive evaluation. A seeded join is neither rebuilt nor counted: its
+  /// counters and guard charges belong to the evaluator that built it.
+  void SeedJoinBuilds(const std::unordered_map<const Op*, JoinBuild>* builds) {
+    seeded_builds_ = builds;
+  }
   /// The active resource guard: the context's, or a shared always-
   /// unlimited guard when none is installed (so check sites are
   /// unconditional). Never nullptr.
@@ -214,6 +230,11 @@ class PlanEvaluator {
   /// The static part of PlanJoinStrategy (kind, keys, modes, residual),
   /// computed once per Join op and cached in join_keys_.
   const JoinStrategy& AnalyzeJoin(const Op& op);
+  Result<std::shared_ptr<const Table>> MaterializeJoinRight(
+      const Op& op, const EvalCtx& c, bool* cacheable);
+  Result<JoinStrategy> PlanJoinStrategy(
+      const Op& op, const EvalCtx& c,
+      const std::shared_ptr<const Table>& right, bool right_cacheable);
   Result<Table> EvalGroupBy(const Op& op, const EvalCtx& c);
   Result<Table> EvalOrderBy(const Op& op, const EvalCtx& c);
   Result<Sequence> EvalCall(const Op& op, const EvalCtx& c);
@@ -234,6 +255,7 @@ class PlanEvaluator {
   std::unordered_map<Symbol, Sequence> globals_;
   bool globals_prepared_ = false;
   const PartitionSlice* slice_ = nullptr;
+  const std::unordered_map<const Op*, JoinBuild>* seeded_builds_ = nullptr;
   ExecStats stats_;
   int depth_ = 0;
 

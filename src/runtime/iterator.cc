@@ -532,11 +532,7 @@ class JoinIter : public TupleIterator {
            TupleIteratorPtr left, bool outer)
       : ev_(ev), op_(op), c_(c), left_(std::move(left)), outer_(outer) {}
   Status Open() override {
-    bool cacheable = false;
-    XQC_ASSIGN_OR_RETURN(right_,
-                         ev_->MaterializeJoinRight(*op_, c_, &cacheable));
-    XQC_ASSIGN_OR_RETURN(strategy_,
-                         ev_->PlanJoinStrategy(*op_, c_, right_, cacheable));
+    XQC_ASSIGN_OR_RETURN(build_, ev_->BuildJoin(*op_, c_));
     return Status::OK();
   }
   // Left tuples are prefetched in demand-bounded batches and probed one at
@@ -579,7 +575,8 @@ class JoinIter : public TupleIterator {
       buf_.clear();
       bpos_ = 0;
       XQC_RETURN_IF_ERROR(
-          ev_->ProbeJoinTuple(*op_, strategy_, c_, l, *right_, outer_, &buf_));
+          ev_->ProbeJoinTuple(*op_, build_.strategy, c_, l, *build_.right,
+                              outer_, &buf_));
       XQC_RETURN_IF_ERROR(
           ev_->guard()->AccountTuples(static_cast<int64_t>(buf_.size())));
     }
@@ -594,8 +591,7 @@ class JoinIter : public TupleIterator {
   TupleIteratorPtr left_;
   bool outer_;
   bool eos_ = false;
-  std::shared_ptr<const Table> right_;
-  JoinStrategy strategy_;
+  JoinBuild build_;
   Table buf_;  // output rows of the current probe
   size_t bpos_ = 0;
   TupleBatch lb_;  // prefetched left (probe-side) tuples

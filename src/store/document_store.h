@@ -141,31 +141,32 @@ struct DocStoreStats {
   int64_t collection_reorders = 0;   // force-fresh reloads restoring the
                                      // ordinal interval-block order
 
-  void Add(const DocStoreStats& o) {
-    hits += o.hits;
-    misses += o.misses;
-    evictions += o.evictions;
-    retries += o.retries;
-    quarantine_hits += o.quarantine_hits;
-    negative_hits += o.negative_hits;
-    stale_reloads += o.stale_reloads;
-    singleflight_waits += o.singleflight_waits;
-    uncached_oversize += o.uncached_oversize;
-    breaker_fast_fails += o.breaker_fast_fails;
-    brownout_serves += o.brownout_serves;
-    snapshot_hits += o.snapshot_hits;
-    snapshot_writes += o.snapshot_writes;
-    snapshot_write_failures += o.snapshot_write_failures;
-    snapshot_quarantines += o.snapshot_quarantines;
-    snapshot_stale += o.snapshot_stale;
-    snapshot_brownout_serves += o.snapshot_brownout_serves;
-    content_rechecks += o.content_rechecks;
-    snapshot_bytes_read += o.snapshot_bytes_read;
-    snapshot_bytes_written += o.snapshot_bytes_written;
-    collections_resolved += o.collections_resolved;
-    collection_members += o.collection_members;
-    collection_members_skipped += o.collection_members_skipped;
-    collection_reorders += o.collection_reorders;
+  /// this += k * o, field by field.
+  void Add(const DocStoreStats& o, int64_t k = 1) {
+    hits += k * o.hits;
+    misses += k * o.misses;
+    evictions += k * o.evictions;
+    retries += k * o.retries;
+    quarantine_hits += k * o.quarantine_hits;
+    negative_hits += k * o.negative_hits;
+    stale_reloads += k * o.stale_reloads;
+    singleflight_waits += k * o.singleflight_waits;
+    uncached_oversize += k * o.uncached_oversize;
+    breaker_fast_fails += k * o.breaker_fast_fails;
+    brownout_serves += k * o.brownout_serves;
+    snapshot_hits += k * o.snapshot_hits;
+    snapshot_writes += k * o.snapshot_writes;
+    snapshot_write_failures += k * o.snapshot_write_failures;
+    snapshot_quarantines += k * o.snapshot_quarantines;
+    snapshot_stale += k * o.snapshot_stale;
+    snapshot_brownout_serves += k * o.snapshot_brownout_serves;
+    content_rechecks += k * o.content_rechecks;
+    snapshot_bytes_read += k * o.snapshot_bytes_read;
+    snapshot_bytes_written += k * o.snapshot_bytes_written;
+    collections_resolved += k * o.collections_resolved;
+    collection_members += k * o.collection_members;
+    collection_members_skipped += k * o.collection_members_skipped;
+    collection_reorders += k * o.collection_reorders;
   }
 };
 

@@ -58,13 +58,14 @@ struct TreeJoinStats {
   int64_t ddo_skip_verified = 0;  // elided via linear sortedness check
   int64_t index_lookups = 0;      // DocumentIndex range scans used
 
-  void Add(const TreeJoinStats& o) {
-    ddo_sorts += o.ddo_sorts;
-    ddo_dedups += o.ddo_dedups;
-    ddo_skip_static += o.ddo_skip_static;
-    ddo_skip_singleton += o.ddo_skip_singleton;
-    ddo_skip_verified += o.ddo_skip_verified;
-    index_lookups += o.index_lookups;
+  /// this += k * o, field by field.
+  void Add(const TreeJoinStats& o, int64_t k = 1) {
+    ddo_sorts += k * o.ddo_sorts;
+    ddo_dedups += k * o.ddo_dedups;
+    ddo_skip_static += k * o.ddo_skip_static;
+    ddo_skip_singleton += k * o.ddo_skip_singleton;
+    ddo_skip_verified += k * o.ddo_skip_verified;
+    index_lookups += k * o.index_lookups;
   }
 };
 

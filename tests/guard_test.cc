@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/clio/clio.h"
 #include "src/engine/engine.h"
 #include "src/xml/doc_index.h"
 #include "src/xml/xml_parser.h"
@@ -685,6 +686,87 @@ TEST_F(ParallelGuardTest, DeadlineTripsAcrossParallelismWithoutHanging) {
                        std::chrono::steady_clock::now() - start)
                        .count();
     EXPECT_LT(elapsed, 2000) << "parallelism " << n;
+  }
+}
+
+// The same contract on a driving-scan split: Clio N4 over the 250 KB DBLP
+// document fans its 150 authorinfo rows out as units, each charging its
+// own guard slice, re-charged to the parent at recombination.
+class ParallelGuardSplitTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    dblp_ = new NodePtr(GenerateDblpDocument(ClioOptions{}).take());
+  }
+  static void TearDownTestSuite() { delete dblp_; }
+
+  // Runs N4; "" on success, the code on error.
+  static std::string Trip(const EngineOptions& opts,
+                          ExecStats* stats = nullptr) {
+    Result<PreparedQuery> q = Engine().Prepare(ClioQuery(4), opts);
+    EXPECT_OK(q);
+    DynamicContext ctx;
+    ctx.BindVariable(Symbol("dblp"), {Item(*dblp_)});
+    Result<std::string> r = q.value().ExecuteToString(&ctx);
+    if (stats != nullptr) *stats = q.value().last_exec_stats();
+    return r.ok() ? "" : r.status().code();
+  }
+
+  static NodePtr* dblp_;
+};
+
+NodePtr* ParallelGuardSplitTest::dblp_ = nullptr;
+
+TEST_F(ParallelGuardSplitTest, QuotasTripWithTheSerialCodesOnSplitN4) {
+  ExecStats full;
+  ASSERT_EQ(Trip(EngineOptions{}, &full), "");
+  EngineOptions split;
+  split.parallelism = 4;
+  ExecStats split_stats;
+  ASSERT_EQ(Trip(split, &split_stats), "");
+  ASSERT_GT(split_stats.parallel_partitions, 1);
+  // Half the budget the whole query needs: the driver's scan and builds
+  // fit, the units' rows do not.
+  for (int n : {1, 2, 4}) {
+    EngineOptions steps;
+    steps.parallelism = n;
+    steps.limits.max_eval_steps = full.guard_steps / 2;
+    EXPECT_EQ(Trip(steps), "XQC0006") << "parallelism " << n;
+    EngineOptions memory;
+    memory.parallelism = n;
+    memory.limits.max_memory_bytes = full.peak_memory_bytes / 2;
+    EXPECT_EQ(Trip(memory), "XQC0003") << "parallelism " << n;
+  }
+}
+
+TEST_F(ParallelGuardSplitTest, CancellationAndDeadlineTripOnSplitN4) {
+  for (int n : {1, 2, 4}) {
+    EngineOptions pre;
+    pre.parallelism = n;
+    pre.cancel = CancellationToken::Make();
+    pre.cancel.RequestCancel();
+    EXPECT_EQ(Trip(pre), "XQC0002") << "parallelism " << n;
+
+    // Cancelled while the units run.
+    EngineOptions mid;
+    mid.parallelism = n;
+    mid.cancel = CancellationToken::Make();
+    Result<PreparedQuery> q = Engine().Prepare(ClioQuery(4), mid);
+    ASSERT_OK(q);
+    DynamicContext ctx;
+    ctx.BindVariable(Symbol("dblp"), {Item(*dblp_)});
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      mid.cancel.RequestCancel();
+    });
+    Result<std::string> r = q.value().ExecuteToString(&ctx);
+    canceller.join();
+    ASSERT_FALSE(r.ok()) << "parallelism " << n;
+    EXPECT_EQ(r.status().code(), "XQC0002") << "parallelism " << n;
+
+    EngineOptions deadline;
+    deadline.parallelism = n;
+    deadline.limits.deadline_ms = 3;
+    EXPECT_EQ(Trip(deadline), "XQC0001") << "parallelism " << n;
   }
 }
 

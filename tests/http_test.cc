@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/clio/clio.h"
 #include "src/net/http_client.h"
 #include "src/net/http_server.h"
 #include "src/net/net_fault.h"
@@ -359,6 +360,60 @@ TEST(HttpServerLive, EndpointsAndMethods) {
   ASSERT_TRUE(
       HttpFetch("127.0.0.1", s.port(), "GET", "/query", {}, "", &resp).ok());
   EXPECT_EQ(resp.status, 405);
+}
+
+/// One counter of the /stats "parallel" section, or -1 when absent.
+int64_t ParallelStat(const std::string& stats, const std::string& key) {
+  size_t sec = stats.find("\"parallel\": {");
+  if (sec == std::string::npos) return -1;
+  size_t end = stats.find('}', sec);
+  size_t at = stats.find("\"" + key + "\": ", sec);
+  if (at == std::string::npos || at > end) return -1;
+  return std::atoll(stats.c_str() + at + key.size() + 4);
+}
+
+TEST(HttpServerLive, StatsCountDrivingScanSplits) {
+  // Clio N4 is a flat join / GroupBy plan: served with the default
+  // parallelism it fans its authorinfo rows out; X-XQC-Parallelism: 1
+  // runs it serially with the same bytes.
+  LiveServer s;
+  ClioOptions co;
+  co.target_bytes = 100 * 1024;
+  s.service->RegisterDocument("dblp.xml", GenerateDblpDocument(co).take());
+  std::string query = ClioQuery(4);
+  const std::string decl = "declare variable $dblp external;";
+  query.replace(query.find(decl), decl.size(),
+                "declare variable $dblp := doc(\"dblp.xml\");");
+  HttpResponse stats;
+  ASSERT_TRUE(
+      HttpFetch("127.0.0.1", s.port(), "GET", "/stats", {}, "", &stats).ok());
+  EXPECT_LT(stats.body.find("\"plan_cache\""),
+            stats.body.find("\"parallel\""));
+  EXPECT_EQ(ParallelStat(stats.body, "queries_split"), 0);
+  EXPECT_EQ(ParallelStat(stats.body, "partitions"), 0);
+
+  HttpResponse split, serial;
+  ASSERT_TRUE(
+      HttpFetch("127.0.0.1", s.port(), "POST", "/query", {}, query, &split)
+          .ok());
+  ASSERT_EQ(split.status, 200) << split.body;
+  ASSERT_TRUE(
+      HttpFetch("127.0.0.1", s.port(), "GET", "/stats", {}, "", &stats).ok());
+  EXPECT_EQ(ParallelStat(stats.body, "queries_split"), 1) << stats.body;
+  int64_t partitions = ParallelStat(stats.body, "partitions");
+  EXPECT_GT(partitions, 1) << stats.body;
+  EXPECT_GE(ParallelStat(stats.body, "steals"), 0) << stats.body;
+  EXPECT_EQ(ParallelStat(stats.body, "fallbacks"), 0) << stats.body;
+
+  ASSERT_TRUE(HttpFetch("127.0.0.1", s.port(), "POST", "/query",
+                        {{"X-XQC-Parallelism", "1"}}, query, &serial)
+                  .ok());
+  ASSERT_EQ(serial.status, 200);
+  EXPECT_EQ(serial.body, split.body);
+  ASSERT_TRUE(
+      HttpFetch("127.0.0.1", s.port(), "GET", "/stats", {}, "", &stats).ok());
+  EXPECT_EQ(ParallelStat(stats.body, "queries_split"), 1) << stats.body;
+  EXPECT_EQ(ParallelStat(stats.body, "partitions"), partitions);
 }
 
 TEST(HttpServerLive, ChunkedQueryBody) {

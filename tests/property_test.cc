@@ -355,13 +355,17 @@ TEST_P(PropertyTest, BatchSizesAgree) {
   }
 }
 
+int64_t NestedFamilyParallelismAgrees(uint64_t seed);
+
 // Parallelism ablation: generated queries rewritten to scan a small
 // fn:collection corpus must be byte-identical at parallelism 1 (the serial
 // oracle), 2, and 4 — including queries that error, and including the many
 // generated shapes that are statically ineligible and take the serial
 // fallback. This is the broad-spectrum check for the partition/merge path:
 // most shapes exercise the eligibility analyzer's "reject" verdicts, the
-// eligible ones exercise the doc-partitioned k-way merge.
+// eligible ones exercise the doc-partitioned k-way merge. The
+// constructor-nested FLWOR family (below) then exercises the driving-scan
+// split of flat join / GroupBy plans.
 TEST_P(PropertyTest, ParallelismLevelsAgree) {
   static const std::string* corpus_dir = [] {
     auto* dir = new std::string(::testing::TempDir() + "xqc_property_corpus");
@@ -416,6 +420,7 @@ TEST_P(PropertyTest, ParallelismLevelsAgree) {
       }
     }
   }
+  NestedFamilyParallelismAgrees(seed);
 }
 
 // DocumentStore ablation: the same generated queries with $doc rewritten
@@ -626,6 +631,84 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NestedFlworTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+/// kNestedDoc's mix of keys (several `v` per element, untyped and numeric
+/// `n`, rows matching nothing) over 48 `a` elements, so the outer block
+/// yields enough driving rows for the driving-scan split.
+std::string LargeNestedDoc() {
+  static const char* const kKeys[] = {"p", "q", "r", "zz"};
+  static const char* const kNums[] = {"1", "2.0", "03", "x", "2", "1.0"};
+  std::string out = "<db>";
+  auto elem = [&](const char* name, int count, int salt) {
+    for (int i = 0; i < count; i++) {
+      int h = i * 7 + salt;
+      out += std::string("<") + name + " id=\"" + name + std::to_string(i) +
+             "\" k=\"" + kKeys[h % 4] + "\" g=\"" +
+             std::to_string(1 + h % 3) + "\">";
+      for (int v = 0; v <= h % 3; v++) {
+        out += "<v>" + std::to_string((h + v * 3) % 6) + "</v>";
+      }
+      out += std::string("<n>") + kNums[h % 6] + "</n></" + name + ">";
+    }
+  };
+  elem("a", 48, 0);
+  elem("b", 12, 1);
+  elem("c", 12, 2);
+  elem("d", 8, 3);
+  return out + "</db>";
+}
+
+/// The family's flat plans at parallelism 1, 2 and 4: byte-identical
+/// output, and the work counters of the serial run. Returns the number of
+/// partitions the split runs made.
+int64_t NestedFamilyParallelismAgrees(uint64_t seed) {
+  static const NodePtr* doc = new NodePtr(MustParseXml(LargeNestedDoc()));
+  NestedGen gen(seed);
+  Engine engine;
+  int64_t partitions = 0;
+  for (int qi = 0; qi < 2; qi++) {
+    std::string query = "declare variable $doc external; " + gen.Query();
+    std::string reference;
+    ExecStats ref_stats;
+    for (int level : {1, 2, 4}) {
+      EngineOptions opts;
+      opts.parallelism = level;
+      Result<PreparedQuery> pq = engine.Prepare(query, opts);
+      EXPECT_TRUE(pq.ok()) << pq.status().ToString() << "\nquery: " << query;
+      if (!pq.ok()) return partitions;
+      DynamicContext ctx;
+      ctx.BindVariable(Symbol("doc"), {Item(*doc)});
+      Result<std::string> r = pq.value().ExecuteToString(&ctx);
+      std::string got = r.ok() ? r.value() : "ERROR:" + r.status().code();
+      const ExecStats& st = pq.value().last_exec_stats();
+      if (level == 1) {
+        reference = got;
+        ref_stats = st;
+        continue;
+      }
+      partitions += st.parallel_partitions;
+      EXPECT_EQ(got, reference) << "parallelism=" << level
+                                << "\nquery: " << query;
+      EXPECT_EQ(st.guard_steps, ref_stats.guard_steps) << query;
+      EXPECT_EQ(st.source_tuples, ref_stats.source_tuples) << query;
+      EXPECT_EQ(st.hash_joins, ref_stats.hash_joins) << query;
+      EXPECT_EQ(st.composite_joins, ref_stats.composite_joins) << query;
+      EXPECT_EQ(st.group_bys, ref_stats.group_bys) << query;
+      EXPECT_EQ(st.nodes_copied, ref_stats.nodes_copied) << query;
+      EXPECT_EQ(st.nodes_adopted, ref_stats.nodes_adopted) << query;
+    }
+  }
+  return partitions;
+}
+
+TEST(NestedFlworFamily, SplitsByDrivingScan) {
+  // The family reaches the driving-scan split, not just its fallbacks.
+  int64_t partitions = 0;
+  for (uint64_t seed = 1; seed < 9; seed++) {
+    partitions += NestedFamilyParallelismAgrees(seed);
+  }
+  EXPECT_GT(partitions, 0);
+}
 
 TEST(NestedFlworFamily, ExercisesFlatteningAndCompositeKeys) {
   // The family reaches the new machinery: outer maps unnest, joins key on
