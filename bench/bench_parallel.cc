@@ -1,5 +1,7 @@
-// Intra-query parallelism benchmarks: fn:collection scans partitioned by
-// document (src/runtime/parallel.cc), swept over --parallelism levels.
+// Intra-query parallelism benchmarks (src/runtime/parallel.cc), swept over
+// --parallelism levels: fn:collection scans partitioned by document, and
+// the Clio N2-N4 mapping queries, whose flat join / GroupBy plans are cut
+// by row ranges of their driving authorinfo scan.
 //
 // The corpus is a directory of XMark-style documents (one per member,
 // distinct seeds) materialized once into a temp dir; each benchmark
@@ -14,7 +16,10 @@
 //  - the predicate scan gives each partition real per-item work, the
 //    favourable case for doc-granular parallelism;
 //  - the single-large-document variant exercises intra-document pre-order
-//    range splitting rather than doc-granular partitioning.
+//    range splitting rather than doc-granular partitioning;
+//  - the Clio join plans (Table 5's 250 KB DBLP document) split one driving
+//    scan: the build sides are evaluated once on the driver, the per-row
+//    probes, GroupBys and constructors run in the units.
 //
 // On a single-core host the curve is expected to be FLAT (slightly below
 // 1x from partition bookkeeping): the interesting acceptance criterion
@@ -25,9 +30,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/clio/clio.h"
 #include "src/runtime/context.h"
 #include "src/store/document_store.h"
 #include "src/xmark/xmark.h"
@@ -72,10 +79,12 @@ const std::string& BigDocDir() {
   return dir;
 }
 
-/// Prepares `query` at the benchmark's parallelism level, byte-verifies
-/// one execution against the serial oracle, then times repeated runs.
-void RunParallel(::benchmark::State& state, const std::string& query) {
-  int parallelism = static_cast<int>(state.range(0));
+/// Prepares `query` at `parallelism`, byte-verifies one execution against
+/// the serial oracle, then times repeated runs. `bind` (optional) installs
+/// variable bindings into each execution's context.
+void RunParallel(::benchmark::State& state, const std::string& query,
+                 int parallelism,
+                 const std::function<void(DynamicContext*)>& bind = {}) {
   // One store per benchmark invocation, shared across levels via the
   // process-wide tree cache being per-store: every timed execution runs
   // against warm documents, so parse cost is excluded from the curve.
@@ -92,6 +101,7 @@ void RunParallel(::benchmark::State& state, const std::string& query) {
   Result<PreparedQuery> oracle_q = engine.Prepare(query, serial_opts);
   DynamicContext octx;
   octx.set_document_store(&store);
+  if (bind) bind(&octx);
   Result<std::string> oracle = oracle_q.value().ExecuteToString(&octx);
   if (!oracle.ok()) {
     state.SkipWithError(oracle.status().ToString().c_str());
@@ -102,6 +112,7 @@ void RunParallel(::benchmark::State& state, const std::string& query) {
     // benchmark loudly instead of reporting a meaningless speedup.
     DynamicContext vctx;
     vctx.set_document_store(&store);
+    if (bind) bind(&vctx);
     Result<std::string> got = q.value().ExecuteToString(&vctx);
     if (!got.ok() || got.value() != oracle.value()) {
       state.SkipWithError("parallel result differs from the serial oracle");
@@ -112,6 +123,7 @@ void RunParallel(::benchmark::State& state, const std::string& query) {
   for (auto _ : state) {
     DynamicContext ctx;
     ctx.set_document_store(&store);
+    if (bind) bind(&ctx);
     Result<Sequence> r = q.value().Execute(&ctx);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
@@ -133,7 +145,8 @@ void RunParallel(::benchmark::State& state, const std::string& query) {
 void BM_CollectionFlatScan(::benchmark::State& state) {
   RunParallel(state,
               "for $i in fn:collection(\"" + CorpusDir() +
-                  "\")//item return string($i/@id)");
+                  "\")//item return string($i/@id)",
+              static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_CollectionFlatScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -143,7 +156,8 @@ void BM_CollectionPredicateScan(::benchmark::State& state) {
   RunParallel(state,
               "for $b in fn:collection(\"" + CorpusDir() +
                   "\")//bidder "
-                  "where number($b/increase) > 10 return string($b/date)");
+                  "where number($b/increase) > 10 return string($b/date)",
+              static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_CollectionPredicateScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -152,9 +166,27 @@ void BM_SingleDocRangeSplit(::benchmark::State& state) {
   // falls back to pre-order range splitting of the descendant step.
   RunParallel(state,
               "for $p in fn:collection(\"" + BigDocDir() +
-                  "\")//person return string($p/name)");
+                  "\")//person return string($p/name)",
+              static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_SingleDocRangeSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_ClioJoinPlan(::benchmark::State& state) {
+  // Args: (nesting level 2..4, parallelism). The 250 KB DBLP document of
+  // Table 5, generated once.
+  static const NodePtr* dblp = [] {
+    ClioOptions co;
+    co.target_bytes = bench::Scaled(250 * 1024);
+    return new NodePtr(GenerateDblpDocument(co).take());
+  }();
+  RunParallel(state, ClioQuery(static_cast<int>(state.range(0))),
+              static_cast<int>(state.range(1)), [](DynamicContext* ctx) {
+                ctx->BindVariable(Symbol("dblp"), {Item(*dblp)});
+              });
+}
+BENCHMARK(BM_ClioJoinPlan)
+    ->ArgsProduct({{2, 3, 4}, {1, 2, 4}})
+    ->Unit(::benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xqc

@@ -24,6 +24,14 @@
 //                          accept-fail, short-write, stalled-read,
 //                          mid-response-close, slow-client
 //
+// Queries run with intra-query parallelism by default (ServiceOptions::
+// engine_options = ServingEngineOptions(): the helper pool's width plus
+// one): eligible plans — fn:collection scans and the flat join / GroupBy
+// plans of nested FLWOR blocks — fan out over the process-wide pool while
+// it has idle helpers, so --threads N workers share the same helpers. A
+// request opts out with `X-XQC-Parallelism: 1`; GET /stats reports the
+// splits in its "parallel" section.
+//
 // SIGTERM/SIGINT trigger the crash-only drain: the listener closes,
 // /readyz flips to 503 [XQC0012], in-flight queries get drain-grace-ms to
 // finish, stragglers are cancelled, and the process exits 0.

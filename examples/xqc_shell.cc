@@ -16,9 +16,10 @@
 //   --exec stream|mat    early termination on / off (default stream)
 //   --batch-size <n>     tuples per iterator pull (default 1024;
 //                        1 = demand-bound oracle)
-//   --parallelism <n>    partition eligible fn:collection scans across up
-//                        to n concurrent workers (default 1 = the serial,
-//                        byte-identical oracle)
+//   --parallelism <n>    partition eligible plans (fn:collection scans,
+//                        flat join / GroupBy plans by their driving scan)
+//                        across up to n concurrent workers (default 1 =
+//                        the serial, byte-identical oracle)
 //   --strict-collections fail the whole fn:collection scan on any bad
 //                        member document (default: skip quarantined /
 //                        malformed / vanished members)
@@ -30,7 +31,8 @@
 //   --doc-store-mb <n>   document store byte budget in MiB (default 256)
 //   --invalidate <uri>   drop <uri> from the document store before running
 //                        (cache entry, quarantine verdict, negative cache)
-//   --stats              print optimizer/executor statistics
+//   --stats              print optimizer/executor statistics and the
+//                        execute / serialize wall times
 //   --timeout-ms <n>         abort with XQC0001 after n milliseconds
 //   --max-mem-mb <n>         memory budget in MiB (XQC0003 when exceeded)
 //   --max-output-items <n>   cap on result items (XQC0004 when exceeded)
@@ -61,6 +63,7 @@
 //                        fault injector on the global document store
 //                        (mode names per src/store/io_fault.h)
 //   XQC_IO_FAULT_DELAY_MS  delay for the slow-read / snap-slow-write modes
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <future>
@@ -71,6 +74,7 @@
 #include "src/service/query_service.h"
 #include "src/store/document_store.h"
 #include "src/xml/project.h"
+#include "src/xml/serializer.h"
 #include "src/xml/xml_parser.h"
 
 namespace {
@@ -351,10 +355,20 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  xqc::Result<std::string> result = prepared.value().ExecuteToString(&ctx);
-  if (!result.ok()) return Fail(result.status().ToString());
-  std::cout << result.value() << "\n";
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  xqc::Result<xqc::Sequence> items = prepared.value().Execute(&ctx);
+  const Clock::time_point t1 = Clock::now();
+  if (!items.ok()) return Fail(items.status().ToString());
+  const std::string result = xqc::SerializeSequence(items.value());
+  const Clock::time_point t2 = Clock::now();
+  std::cout << result << "\n";
   if (stats) {
+    auto ms = [](Clock::duration d) {
+      return std::chrono::duration<double, std::milli>(d).count();
+    };
+    std::cerr << "time: execute-ms=" << ms(t1 - t0)
+              << " serialize-ms=" << ms(t2 - t1) << "\n";
     const xqc::OptimizerStats& os = prepared.value().optimizer_stats();
     const xqc::ExecStats& es = prepared.value().last_exec_stats();
     std::cerr << "optimizer: group-bys=" << os.insert_group_by
