@@ -15,8 +15,6 @@
 //    and recombination overhead floor;
 //  - the predicate scan gives each partition real per-item work, the
 //    favourable case for doc-granular parallelism;
-//  - the single-large-document variant exercises intra-document pre-order
-//    range splitting rather than doc-granular partitioning;
 //  - the Clio join plans (Table 5's 250 KB DBLP document) split one driving
 //    scan: the build sides are evaluated once on the driver, the per-row
 //    probes, GroupBys and constructors run in the units.
@@ -59,21 +57,6 @@ const std::string& CorpusDir() {
       std::ofstream out(d + "/" + name, std::ios::trunc);
       out << GenerateXMarkXml(xo);
     }
-    return d;
-  }();
-  return dir;
-}
-
-/// One large document for the range-splitting benchmark.
-const std::string& BigDocDir() {
-  static const std::string dir = [] {
-    std::string d = "/tmp/xqc_bench_parallel_bigdoc";
-    std::system(("rm -rf " + d + " && mkdir -p " + d).c_str());
-    XMarkOptions xo;
-    xo.seed = 9001;
-    xo.target_bytes = bench::Scaled(kMemberBytes * kCorpusDocs);
-    std::ofstream out(d + "/big.xml", std::ios::trunc);
-    out << GenerateXMarkXml(xo);
     return d;
   }();
   return dir;
@@ -136,8 +119,6 @@ void RunParallel(::benchmark::State& state, const std::string& query,
   const ExecStats& es = q.value().last_exec_stats();
   state.counters["partitions"] =
       static_cast<double>(es.parallel_partitions);
-  state.counters["range_splits"] =
-      static_cast<double>(es.parallel_range_splits);
   state.counters["steals"] = static_cast<double>(es.parallel_steals);
   state.counters["fallbacks"] = static_cast<double>(es.parallel_fallbacks);
 }
@@ -160,16 +141,6 @@ void BM_CollectionPredicateScan(::benchmark::State& state) {
               static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_CollectionPredicateScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_SingleDocRangeSplit(::benchmark::State& state) {
-  // One big member: doc-granular partitioning degenerates, so the planner
-  // falls back to pre-order range splitting of the descendant step.
-  RunParallel(state,
-              "for $p in fn:collection(\"" + BigDocDir() +
-                  "\")//person return string($p/name)",
-              static_cast<int>(state.range(0)));
-}
-BENCHMARK(BM_SingleDocRangeSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ClioJoinPlan(::benchmark::State& state) {
   // Args: (nesting level 2..4, parallelism). The 250 KB DBLP document of

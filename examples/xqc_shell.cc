@@ -400,9 +400,7 @@ int main(int argc, char** argv) {
               << " steps=" << es.guard_steps
               << " peak-memory-bytes=" << es.peak_memory_bytes << "\n"
               << "parallel: partitions=" << es.parallel_partitions
-              << " range-splits=" << es.parallel_range_splits
               << " steals=" << es.parallel_steals
-              << " merges=" << es.parallel_merges
               << " fallbacks=" << es.parallel_fallbacks << "\n"
               << "collections: resolved=" << es.doc_store.collections_resolved
               << " members=" << es.doc_store.collection_members

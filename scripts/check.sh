@@ -55,15 +55,17 @@ if [[ "${1:-}" != "--sanitize-only" ]]; then
     --benchmark_min_time=0.01 >/dev/null
 
   echo "=== intra-query parallelism parity sweep + bench_parallel smoke ==="
-  # The fn:collection partition/merge path and the driving-scan split of
-  # flat join / GroupBy plans: byte-parity across parallelism levels
-  # (corpus, XMark-style, eviction-scrambled caches, generated property
-  # queries, XMark Q8-Q12 and Clio N2-N4 under every join algorithm, batch
-  # size and exec mode with summed-ExecStats parity, the generated nested
-  # FLWOR family), guard trip-code parity on split budgets (collections
-  # and a split N4), and the shared-TaskPool stress, then a short pass
-  # over the parallelism benchmarks (which self-verify every configuration
-  # against the serial oracle before timing).
+  # The one partition cut: a split op runs over contiguous ranges of its
+  # source (a collection's member documents or a driving scan's rows) and
+  # the parts concatenate in order. Byte parity across parallelism levels
+  # (collection corpus, XMark-style, eviction-scrambled caches, generated
+  # property queries, the generated nested FLWOR family), with
+  # summed-ExecStats parity on the collection corpus and on XMark Q8-Q12
+  # and Clio N2-N4 under every join algorithm, batch size and exec mode;
+  # guard trip-code parity on split budgets (a collection cut and a split
+  # N4), and the shared-TaskPool stress, then a short pass over the
+  # parallelism benchmarks (which self-verify every configuration against
+  # the serial oracle before timing).
   ./build/tests/parallel_test --gtest_brief=1
   ./build/tests/property_test \
     --gtest_filter='*ParallelismLevelsAgree*:NestedFlworFamily.SplitsByDrivingScan' \
@@ -167,13 +169,16 @@ echo "=== thread-sanitized build + tests (build-tsan/) ==="
 # that exercise real parallelism (concurrency_test, service_test's tenant
 # queue/shedding bookkeeping, the concurrent property oracle, the
 # DocumentStore singleflight/eviction/quarantine/breaker stress in
-# store_test, the partitioned fn:collection execution, the driving-scan
-# split's shared join builds + shared TaskPool in parallel_test, and the
+# store_test, the partitioned execution's shared join builds, guard slices
+# and shared TaskPool in parallel_test, and the
 # HTTP event loop's handoff to the worker pool —
 # completions queue, self-pipe wakeups, drain races — in http_test) plus
 # the guard and streaming suites whose machinery (cancellation tokens,
 # ScopedGuard, ResultStream) the threaded paths lean on, and construct_test,
 # whose collection scans adopt constructed nodes inside partition workers.
+# concurrency_test runs whole: its mid-stream cancellation test streams
+# `for $x in 1 to 100000000` on demand, and the binary peaks at ~130 MB
+# RSS under TSan.
 cmake -B build-tsan -S . -DXQC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   concurrency_test service_test property_test guard_test streaming_test \

@@ -34,23 +34,22 @@ struct CompiledFunction {
 /// annotation pass; consumed by the parallel executor
 /// (src/runtime/parallel.h). The Op pointers alias nodes owned by `plan`.
 struct ParallelPlanInfo {
-  /// Whether the plan can be partitioned: by collection member document
-  /// (`split` == nullptr) or by row ranges of a driving scan.
+  /// Whether the plan can be partitioned.
   bool eligible = false;
-  /// The op whose result the executor evaluates once and partitions: the
-  /// Call[fn:collection] op, or the IN-free item plan under the driving
-  /// scan's MapFromItem.
-  const Op* source = nullptr;
-  /// The single TreeJoin over the source when intra-document pre-order
-  /// range splitting is additionally sound, else nullptr (doc-granular
-  /// partitions only). Collection mode only.
-  const Op* range_split = nullptr;
-  /// Driving-scan mode: the MapToItem every unit evaluates over its row
-  /// range; the driver evaluates the rest of the plan around it.
+  /// The op every unit evaluates over its range of the source: a MapToItem
+  /// or a bare collection path. The driver evaluates the rest of the plan
+  /// around it.
   const Op* split = nullptr;
-  /// Driving-scan mode: the Join / LOuterJoin ops between the split and
-  /// the driving scan, innermost first. The driver builds their (IN-free)
-  /// right sides once and shares them read-only with every unit.
+  /// The IN-free op the driver evaluates once and cuts into contiguous
+  /// ranges: the Call[fn:collection] under the driving path when
+  /// `by_document`, else the item plan under the driving MapFromItem.
+  const Op* source = nullptr;
+  /// Whether the source is a collection's member documents (cut by
+  /// document) rather than a driving scan's rows.
+  bool by_document = false;
+  /// The Join / LOuterJoin ops between the split and the driving scan,
+  /// innermost first. The driver builds their (IN-free) right sides once
+  /// and shares them read-only with every unit.
   std::vector<const Op*> builds;
   /// Human-readable reason when ineligible (for --explain / tests).
   std::string reason;

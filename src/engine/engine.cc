@@ -48,20 +48,16 @@ Result<Sequence> PreparedQuery::Execute(
       Interpreter interp(core_.get(), ctx);
       return interp.Run();
     }
-    if (options_.parallelism > 1) {
-      Result<Sequence> par{Sequence{}};
-      if (TryExecuteParallel(*compiled_, ctx, ToExecOptions(options_),
-                             options_.parallelism, &stats, &par)) {
-        return par;
-      }
-      // Statically ineligible: run the normal serial path below.
-      stats.parallel_fallbacks = 1;
+    Result<Sequence> par{Sequence{}};
+    if (TryExecuteParallel(*compiled_, ctx, ToExecOptions(options_),
+                           options_.parallelism, &stats, &par)) {
+      return par;
     }
     PlanEvaluator eval(compiled_.get(), ctx, ToExecOptions(options_));
     Result<Sequence> inner = eval.Run();
-    int64_t fallbacks = stats.parallel_fallbacks;
     stats = eval.stats();
-    stats.parallel_fallbacks = fallbacks;
+    // Parallelism asked for, but the plan is statically ineligible.
+    stats.parallel_fallbacks = options_.parallelism > 1 ? 1 : 0;
     return inner;
   }();
   stats.guard_checks = guard->checks();

@@ -84,16 +84,15 @@ struct EngineOptions {
   /// (xqc_shell --parallelism). 1 (default) = strictly serial, the
   /// byte-identical oracle; serving defaults higher (ServingEngineOptions
   /// in src/service/query_service.h). With N > 1, eligible plans
-  /// (src/opt/parallel_infer.h) are partitioned: fn:collection scans over
-  /// a pointwise pipeline by member document — large single documents
-  /// additionally by pre-order ranges — and flat join / GroupBy plans by
-  /// contiguous row ranges of their driving scan, against join build
-  /// sides built once and shared. Partitions recombine by ordered
-  /// concatenation (src/runtime/parallel.h). Output is byte-identical to
-  /// the serial run at every N, and driving-scan splits also sum to its
-  /// ExecStats work counters; ineligible plans, and eligible ones too
-  /// small to pay for the fan-out, run serially
-  /// (ExecStats::parallel_fallbacks). Values < 1 are treated as 1.
+  /// (src/opt/parallel_infer.h) are partitioned by contiguous ranges of
+  /// their split's source — a collection's member documents or a driving
+  /// scan's rows — against join build sides built once and shared.
+  /// Partitions recombine by ordered concatenation
+  /// (src/runtime/parallel.h). Output is byte-identical to the serial run
+  /// at every N, and the summed ExecStats work counters match it;
+  /// ineligible plans, and eligible ones too small to pay for the
+  /// fan-out, run serially (ExecStats::parallel_fallbacks). Values < 1 are
+  /// treated as 1.
   int parallelism = 1;
   /// Strict fn:collection mode: any member document failure fails the
   /// whole collection scan. Default (lenient) skips quarantined /

@@ -42,27 +42,12 @@ bool ContainsKind(const Op& op, OpKind k) {
 }
 
 bool IsCollectionCall(const Op& op) {
-  if (op.kind != OpKind::kCall || op.name != Symbol("fn:collection")) {
-    return false;
-  }
-  // The URI argument is evaluated once by the driver, outside any tuple
-  // scope — it must not read IN.
-  return !FreeIn(op);
+  return op.kind == OpKind::kCall && op.name == Symbol("fn:collection");
 }
 
-/// Walks a TreeJoin* chain down to its base; returns the base and appends
-/// the joins outermost-first.
-const Op* WalkTreeJoins(const Op* op, std::vector<const Op*>* joins) {
-  while (op->kind == OpKind::kTreeJoin) {
-    joins->push_back(op);
-    op = op->inputs[0].get();
-  }
+const Op* SkipTreeJoins(const Op* op) {
+  while (op->kind == OpKind::kTreeJoin) op = op->inputs[0].get();
   return op;
-}
-
-bool DownwardAxis(Axis a) {
-  return a == Axis::kChild || a == Axis::kDescendant ||
-         a == Axis::kDescendantOrSelf;
 }
 
 bool IsConstructor(OpKind k) {
@@ -71,82 +56,55 @@ bool IsConstructor(OpKind k) {
          k == OpKind::kDocumentNode;
 }
 
-/// Shapes (A) and (B): a collection scan under a pointwise spine. Returns
-/// false with `reason` set when the plan has neither shape.
-bool AnalyzeCollectionScan(const Op* plan, ParallelPlanInfo* info) {
-  // Peel the shape-B spine, if present: MapToItem{r}(Select{p}*(
-  // MapFromItem{f}(...))). Everything peeled is pointwise.
-  const Op* base = plan;
-  if (base->kind == OpKind::kMapToItem) {
-    const Op* spine = base->inputs[0].get();
-    while (spine->kind == OpKind::kSelect) spine = spine->inputs[0].get();
-    if (spine->kind != OpKind::kMapFromItem) {
-      info->reason = "tuple spine is not Select*/MapFromItem "
-                     "(order-sensitive operator between scan and root)";
-      return false;
-    }
-    base = spine->inputs[0].get();
-  }
-
-  std::vector<const Op*> joins;
-  const Op* source = WalkTreeJoins(base, &joins);
-  if (!IsCollectionCall(*source)) {
-    info->reason = "leading scan is not fn:collection";
-    return false;
-  }
-  info->eligible = true;
-  info->source = source;
-  // Intra-document range splitting: sound only for a single downward
-  // TreeJoin (see header).
-  if (joins.size() == 1 && DownwardAxis(joins[0]->axis)) {
-    info->range_split = joins[0];
-  }
-  return true;
-}
-
-/// Shape (C) for one candidate split point `split` (a MapToItem reached
-/// from the root through constructors and Sequence only).
-bool AnalyzeDrivingScan(const CompiledQuery& query, const Op* split,
-                        ParallelPlanInfo* info) {
-  // Walk the chain X from the split down to the driving MapFromItem.
-  std::vector<const Op*> builds;      // outermost first while walking
+/// The shape for one candidate split (a MapToItem or a bare collection
+/// path reached from the root through constructors and Sequence only).
+bool AnalyzeSplit(const CompiledQuery& query, const Op* split,
+                  ParallelPlanInfo* info) {
+  std::vector<const Op*> builds;  // outermost first while walking
   std::vector<const Op*> group_bys;
   std::vector<Symbol> index_fields;
-  const Op* op = split->inputs[0].get();
+  const Op* path = split;
   const Op* above = split;  // ends as the op directly above MapFromItem
-  while (op->kind != OpKind::kMapFromItem) {
-    switch (op->kind) {
-      case OpKind::kSelect:
-      case OpKind::kMap:
-        break;
-      case OpKind::kMapIndex:
-      case OpKind::kMapIndexStep:
-        index_fields.push_back(op->name);
-        break;
-      case OpKind::kJoin:
-      case OpKind::kLOuterJoin:
-        if (FreeIn(*op->inputs[1])) {
-          info->reason = "a join's right input depends on IN";
+  if (split->kind == OpKind::kMapToItem) {
+    // Walk the chain X from the split down to the driving MapFromItem.
+    const Op* op = split->inputs[0].get();
+    while (op->kind != OpKind::kMapFromItem) {
+      switch (op->kind) {
+        case OpKind::kSelect:
+        case OpKind::kMap:
+          break;
+        case OpKind::kMapIndex:
+        case OpKind::kMapIndexStep:
+          index_fields.push_back(op->name);
+          break;
+        case OpKind::kJoin:
+        case OpKind::kLOuterJoin:
+          if (FreeIn(*op->inputs[1])) {
+            info->reason = "a join's right input depends on IN";
+            return false;
+          }
+          builds.push_back(op);
+          break;
+        case OpKind::kGroupBy:
+          group_bys.push_back(op);
+          break;
+        default:
+          info->reason = std::string("operator ") + OpKindName(op->kind) +
+                         " between the split and the driving scan";
           return false;
-        }
-        builds.push_back(op);
-        break;
-      case OpKind::kGroupBy:
-        group_bys.push_back(op);
-        break;
-      default:
-        info->reason = std::string("operator ") + OpKindName(op->kind) +
-                       " between the split and the driving scan";
-        return false;
+      }
+      above = op;
+      op = op->inputs[0].get();
     }
-    above = op;
-    op = op->inputs[0].get();
+    path = op->inputs[0].get();
   }
-  const Op* source = op->inputs[0].get();
-  if (FreeIn(*source)) {
+  if (FreeIn(*path)) {
     info->reason = "the driving scan depends on IN";
     return false;
   }
+  const Op* collection = SkipTreeJoins(path);
+  const bool by_document = IsCollectionCall(*collection);
+  const Op* source = by_document ? collection : path;
   if (source->kind == OpKind::kMapToItem) {
     // MapFromItem pulls a nested FLWOR's tuples incrementally; the driver
     // would materialize them instead, which charges the guard differently.
@@ -155,7 +113,7 @@ bool AnalyzeDrivingScan(const CompiledQuery& query, const Op* split,
   }
 
   // Every GroupBy must partition by the driving index first, so no group
-  // straddles two row ranges.
+  // straddles two ranges.
   bool has_driving_index = above != split &&
                            (above->kind == OpKind::kMapIndex ||
                             above->kind == OpKind::kMapIndexStep);
@@ -197,15 +155,18 @@ bool AnalyzeDrivingScan(const CompiledQuery& query, const Op* split,
   info->eligible = true;
   info->split = split;
   info->source = source;
+  info->by_document = by_document;
   info->builds.assign(builds.rbegin(), builds.rend());
   info->reason.clear();
   return true;
 }
 
-/// Collects the MapToItem ops reachable from the root through constructors
-/// and Sequence only, in evaluation order.
+/// Collects the split candidates reachable from the root through
+/// constructors and Sequence only, in evaluation order.
 void CollectSplitCandidates(const Op* op, std::vector<const Op*>* out) {
-  if (op->kind == OpKind::kMapToItem) {
+  if (op->kind == OpKind::kMapToItem ||
+      (op->kind == OpKind::kTreeJoin &&
+       IsCollectionCall(*SkipTreeJoins(op)))) {
     out->push_back(op);
     return;
   }
@@ -235,16 +196,15 @@ void AnalyzeParallel(CompiledQuery* query) {
       return done();
     }
   }
-  if (AnalyzeCollectionScan(plan, &info)) return done();
-
   std::vector<const Op*> candidates;
   CollectSplitCandidates(plan, &candidates);
   if (candidates.empty()) {
-    info.reason = "no MapToItem under constructors and Sequence at the root";
+    info.reason = "no FLWOR or collection path under constructors and "
+                  "Sequence at the root";
     return done();
   }
   for (const Op* split : candidates) {
-    if (AnalyzeDrivingScan(*query, split, &info)) break;
+    if (AnalyzeSplit(*query, split, &info)) break;
   }
   done();
 }

@@ -809,25 +809,18 @@ const std::map<std::string, Builtin>& Registry() {
     });
     add("op:to", 2, 2,
         [](const Args& a, DynamicContext* ctx) -> Result<Sequence> {
-      XQC_ASSIGN_OR_RETURN(Sequence lo, AtomizeOpt(a[0], "op:to"));
-      XQC_ASSIGN_OR_RETURN(Sequence hi, AtomizeOpt(a[1], "op:to"));
-      if (lo.empty() || hi.empty()) return None();
-      XQC_ASSIGN_OR_RETURN(AtomicValue l, CastTo(lo[0].atomic(), AtomicType::kInteger));
-      XQC_ASSIGN_OR_RETURN(AtomicValue h, CastTo(hi[0].atomic(), AtomicType::kInteger));
       // A range materializes its whole sequence, so huge literals
       // ("1 to 2000000000") must stay interruptible: charge the budget up
       // front and keep checking the deadline while filling.
       QueryGuard* g = ctx != nullptr ? ctx->guard() : nullptr;
-      int64_t first = l.AsInt(), last = h.AsInt();
-      if (g != nullptr && last >= first) {
-        XQC_RETURN_IF_ERROR(g->AccountItems(last - first + 1));
-      }
+      XQC_ASSIGN_OR_RETURN(IntegerRange r, OpenIntegerRange(a[0], a[1], g));
       Sequence out;
-      for (int64_t i = first; i <= last; i++) {
-        if (g != nullptr && ((i - first) & 1023) == 0) {
+      for (int64_t i = r.first; i <= r.last; i++) {
+        if (g != nullptr && out.size() % kRangeItemsPerCheck == 0) {
           XQC_RETURN_IF_ERROR(g->Check());
         }
         out.push_back(AtomicValue::Integer(i));
+        if (i == r.last) break;  // i++ would overflow at INT64_MAX
       }
       return out;
     });
@@ -905,6 +898,31 @@ const std::map<std::string, Builtin>& Registry() {
 }
 
 }  // namespace
+
+Result<IntegerRange> OpenIntegerRange(const Sequence& lo,
+                                      const Sequence& hi, QueryGuard* guard) {
+  XQC_ASSIGN_OR_RETURN(Sequence l, AtomizeOpt(lo, "op:to"));
+  XQC_ASSIGN_OR_RETURN(Sequence h, AtomizeOpt(hi, "op:to"));
+  IntegerRange r;
+  if (l.empty() || h.empty()) return r;
+  XQC_ASSIGN_OR_RETURN(AtomicValue first,
+                       CastTo(l[0].atomic(), AtomicType::kInteger));
+  XQC_ASSIGN_OR_RETURN(AtomicValue last,
+                       CastTo(h[0].atomic(), AtomicType::kInteger));
+  r.first = first.AsInt();
+  r.last = last.AsInt();
+  if (guard != nullptr && r.last >= r.first) {
+    // The count saturates: last - first + 1 overflows int64 for ranges
+    // wider than 2^63, and the byte charge does well before that. Half the
+    // int64 byte range leaves the guard's running total room to grow.
+    constexpr uint64_t kMost = INT64_MAX / 2 / QueryGuard::kItemCost;
+    uint64_t n =
+        static_cast<uint64_t>(r.last) - static_cast<uint64_t>(r.first);
+    XQC_RETURN_IF_ERROR(guard->AccountItems(
+        static_cast<int64_t>(n >= kMost ? kMost : n + 1)));
+  }
+  return r;
+}
 
 bool IsBuiltinFunction(Symbol name) {
   return Registry().count(name.str()) > 0;

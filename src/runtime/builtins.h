@@ -21,6 +21,21 @@ bool IsBuiltinFunction(Symbol name);
 Result<Sequence> CallBuiltin(Symbol name, const std::vector<Sequence>& args,
                              DynamicContext* ctx);
 
+/// The integers of `A to B`: [first, last], empty when last < first.
+struct IntegerRange {
+  int64_t first = 1;
+  int64_t last = 0;
+};
+
+/// op:to's bounds: each operand atomized to at most one item and cast to
+/// xs:integer (an empty operand gives the empty range), with the range's
+/// items charged to `guard` (nullptr: none). The op:to builtin fills the
+/// range from it; MapFromItem over `A to B` produces the integers on
+/// demand. Both then run one guard Check() per kRangeItemsPerCheck items.
+Result<IntegerRange> OpenIntegerRange(const Sequence& lo, const Sequence& hi,
+                                      QueryGuard* guard);
+inline constexpr int64_t kRangeItemsPerCheck = 1024;
+
 /// Lists all built-in function names (for documentation and tests).
 std::vector<Symbol> AllBuiltinFunctions();
 

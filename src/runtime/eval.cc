@@ -181,10 +181,7 @@ Result<Sequence> PlanEvaluator::EvalItemsLimited(const Op& op, const EvalCtx& c,
       return EvalItemsLimited(b ? *op.deps[0] : *op.deps[1], c, limit);
     }
     case OpKind::kTreeJoin: {
-      if (options_.force_sort || op.ddo != DdoMode::kSkip ||
-          (slice_ != nullptr && &op == slice_->range_split)) {
-        // Range-split units must apply the slice filter to the full step
-        // output; EvalItems handles it.
+      if (options_.force_sort || op.ddo != DdoMode::kSkip) {
         return EvalItems(op, c);
       }
       // Sort-free step: each input node's result is already final output,
@@ -214,6 +211,21 @@ Result<Sequence> PlanEvaluator::EvalItemsLimited(const Op& op, const EvalCtx& c,
     default:
       return EvalItems(op, c);
   }
+}
+
+Result<std::optional<IntegerRange>> PlanEvaluator::OpenRange(
+    const Op& op, const EvalCtx& c) {
+  static const Symbol kTo("op:to");
+  if (op.kind != OpKind::kCall || op.name != kTo || op.inputs.size() != 2 ||
+      query_->functions.count(op.name) > 0 ||
+      (slice_ != nullptr && &op == slice_->source)) {
+    return std::optional<IntegerRange>();
+  }
+  XQC_RETURN_IF_ERROR(guard_->Check());
+  XQC_ASSIGN_OR_RETURN(Sequence lo, EvalItems(*op.inputs[0], c));
+  XQC_ASSIGN_OR_RETURN(Sequence hi, EvalItems(*op.inputs[1], c));
+  XQC_ASSIGN_OR_RETURN(IntegerRange r, OpenIntegerRange(lo, hi, guard_));
+  return std::make_optional(r);
 }
 
 Result<Sequence> PlanEvaluator::EvalMapToItem(const Op& op, const EvalCtx& c,
@@ -297,22 +309,8 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
       XQC_RETURN_IF_ERROR(guard_->CheckSteps(static_cast<int64_t>(in.size())));
       TreeJoinOpts tj{op.ddo, options_.force_sort, options_.use_doc_index,
                       guard_};
-      Result<Sequence> joined = TreeJoin(in, op.axis, op.ntest, ctx_->schema(),
-                                         tj, &stats_.tree_join);
-      if (!joined.ok() || slice_ == nullptr || &op != slice_->range_split) {
-        return joined;
-      }
-      // Range-split partition unit: keep only this unit's pre-order slice
-      // of the step output. The slices partition [root.start, root.end], so
-      // concatenating units in range order reproduces the full output.
-      Sequence sliced;
-      for (Item& it : joined.value()) {
-        uint64_t s = it.node()->start;
-        if (s >= slice_->range_lo && s < slice_->range_hi) {
-          sliced.push_back(std::move(it));
-        }
-      }
-      return sliced;
+      return TreeJoin(in, op.axis, op.ntest, ctx_->schema(), tj,
+                      &stats_.tree_join);
     }
     case OpKind::kTreeProject: {
       // TreeProject[paths]: prune each document/element tree to the nodes

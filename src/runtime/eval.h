@@ -8,12 +8,14 @@
 #define XQC_RUNTIME_EVAL_H_
 
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "src/algebra/op.h"
 #include "src/compile/compiler.h"
 #include "src/opt/key_class.h"
+#include "src/runtime/builtins.h"
 #include "src/runtime/context.h"
 #include "src/runtime/iterator.h"
 #include "src/runtime/tuple.h"
@@ -77,11 +79,9 @@ struct ExecStats {
   TreeJoinStats tree_join;         // sort elisions / index use (axes.h)
   DocStoreStats doc_store;         // fn:doc resolution (document_store.h)
   // --- intra-query parallelism (runtime/parallel.h) ---
-  int64_t parallel_partitions = 0;   // partition units executed
-  int64_t parallel_range_splits = 0; // units from intra-doc range splitting
-  int64_t parallel_steals = 0;       // units run by pool helpers (not driver)
-  int64_t parallel_merges = 0;       // ordinal-merge recombinations
-  int64_t parallel_fallbacks = 0;    // parallel requested, ran serial
+  int64_t parallel_partitions = 0;  // partition units executed
+  int64_t parallel_steals = 0;      // units run by pool helpers (not driver)
+  int64_t parallel_fallbacks = 0;   // parallel requested, ran serial
 };
 
 /// Evaluation context threaded through a plan: the dependent inputs (tuple
@@ -139,19 +139,13 @@ struct JoinBuild {
 
 /// One partition unit's slice of a parallelized plan (runtime/parallel.cc):
 /// when installed on a PlanEvaluator, EvalItems of the `source` op returns
-/// `items` — the unit's member documents (collection mode) or its row
-/// range of the driving scan — instead of evaluating it; with `run` set
-/// (the driver side of a driving-scan split), it returns run() instead.
-/// For range-split collection units, the output of the single downward
-/// TreeJoin (`range_split`) is filtered to nodes with start in
-/// [range_lo, range_hi).
+/// `items` — the unit's member documents or driving rows — instead of
+/// evaluating it; with `run` set (the driver side of a split), it returns
+/// run() instead.
 struct PartitionSlice {
   const Op* source = nullptr;
   Sequence items;
   std::function<Result<Sequence>()> run;
-  const Op* range_split = nullptr;  // nullptr = whole-document unit
-  uint64_t range_lo = 0;
-  uint64_t range_hi = 0;
 };
 
 class PlanEvaluator {
@@ -179,6 +173,13 @@ class PlanEvaluator {
   /// streaming or limit is kEvalNoLimit.
   Result<Sequence> EvalItemsLimited(const Op& op, const EvalCtx& c,
                                     size_t limit);
+
+  /// `for $x in A to B` (MapFromItem, iterator.cc): when `op` calls the
+  /// op:to builtin, charges the call as EvalItems would but leaves the
+  /// integers for the caller to produce on demand. nullopt: `op` is
+  /// something else; evaluate it with EvalItems.
+  Result<std::optional<IntegerRange>> OpenRange(const Op& op,
+                                                const EvalCtx& c);
 
   /// Opens a pull iterator over a table-side operator (iterator.cc).
   /// The EvalCtx's pointees must outlive the iterator. GroupBy/OrderBy,

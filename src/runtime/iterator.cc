@@ -436,9 +436,10 @@ class MapIndexIter : public TupleIterator {
 
 /// MapFromItem{f}: one tuple per input item. When the input is itself a
 /// MapToItem (a nested FLWOR body), its tuple stream is pulled
-/// incrementally — the full item sequence is never materialized;
-/// otherwise the items materialize once and tuples are still produced on
-/// demand. Every produced tuple is charged one tuple and counts toward
+/// incrementally — the full item sequence is never materialized. A range
+/// `A to B` produces its integers on demand too; any other input
+/// materializes once and tuples are still produced on demand. Every
+/// produced tuple is charged one tuple and counts toward
 /// stats().source_tuples, the "input tuples touched" measure of
 /// streaming's early termination.
 class MapFromItemIter : public TupleIterator {
@@ -452,11 +453,20 @@ class MapFromItemIter : public TupleIterator {
       item_dep_ = input.deps[0].get();
       return Status::OK();
     }
+    XQC_ASSIGN_OR_RETURN(std::optional<IntegerRange> range,
+                         ev_->OpenRange(input, c_));
+    if (range.has_value()) {
+      range_next_ = range->first;
+      range_last_ = range->last;
+      range_open_ = range->first <= range->last;
+      return Status::OK();
+    }
     XQC_ASSIGN_OR_RETURN(buf_, ev_->EvalItems(input, c_));
     return Status::OK();
   }
   // Guard steps: one per produced tuple, one per source-tuple pull, one
-  // for the pull that discovers the end.
+  // for the pull that discovers the end, and for `A to B` the op:to
+  // builtin's one check per kRangeItemsPerCheck integers.
   Status NextBatch(TupleBatch* out, size_t max) override {
     out->clear();
     if (eos_) return Status::OK();
@@ -475,6 +485,22 @@ class MapFromItemIter : public TupleIterator {
           XQC_RETURN_IF_ERROR(ev_->guard()->AccountTuples(1));
           ev_->mutable_stats()->source_tuples++;
           out->push(std::move(r));
+        }
+        continue;
+      }
+      if (range_open_) {
+        XQC_RETURN_IF_ERROR(ev_->guard()->Check());
+        buf_.clear();
+        pos_ = 0;
+        while (range_open_ &&
+               buf_.size() < static_cast<size_t>(kRangeItemsPerCheck)) {
+          buf_.push_back(AtomicValue::Integer(range_next_));
+          // Stop at last rather than step past it: last may be INT64_MAX.
+          if (range_next_ == range_last_) {
+            range_open_ = false;
+          } else {
+            range_next_++;
+          }
         }
         continue;
       }
@@ -507,6 +533,7 @@ class MapFromItemIter : public TupleIterator {
     src_.reset();
     buf_.clear();
     pos_ = 0;
+    range_open_ = false;
   }
 
  private:
@@ -517,6 +544,11 @@ class MapFromItemIter : public TupleIterator {
   const Op* item_dep_ = nullptr;   // its per-tuple item plan
   Sequence buf_;
   size_t pos_ = 0;
+  // An `A to B` input: [range_next_, range_last_] are the integers not yet
+  // moved into buf_ while range_open_.
+  int64_t range_next_ = 0;
+  int64_t range_last_ = 0;
+  bool range_open_ = false;
   bool eos_ = false;
   TupleBatch sb_;   // prefetched source tuples
   size_t spos_ = 0;

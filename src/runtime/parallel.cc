@@ -81,7 +81,7 @@ std::mutex g_unit_hook_mu;
 UnitHook g_unit_hook;
 
 /// a += k * b, field by field, of a partition's evaluator stats (k = -1
-/// deducts a driving-scan unit's fixed cost). guard_* and peak_memory are
+/// deducts a unit's fixed cost). guard_* and peak_memory are
 /// published from the parent guard by the engine, after recombination
 /// re-charges it.
 void MergeExecStats(ExecStats* a, const ExecStats& b, int64_t k = 1) {
@@ -100,20 +100,14 @@ void MergeExecStats(ExecStats* a, const ExecStats& b, int64_t k = 1) {
   a->tree_join.Add(b.tree_join, k);
   a->doc_store.Add(b.doc_store, k);
   a->parallel_partitions += k * b.parallel_partitions;
-  a->parallel_range_splits += k * b.parallel_range_splits;
   a->parallel_steals += k * b.parallel_steals;
-  a->parallel_merges += k * b.parallel_merges;
   a->parallel_fallbacks += k * b.parallel_fallbacks;
 }
 
-/// One partition of the plan: a contiguous ordinal range of member
-/// documents (optionally narrowed to a pre-order interval range), or a
-/// contiguous row range of the driving scan.
+/// One partition of the plan: a contiguous range of the split's source
+/// (member documents or driving rows).
 struct Unit {
   Sequence items;
-  const Op* range_split = nullptr;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
   Result<Sequence> result{Sequence{}};
   ExecStats stats;
   int64_t guard_steps = 0;
@@ -130,9 +124,9 @@ struct Shared {
   const DynamicContext* parent_ctx = nullptr;
   ExecOptions options;
   std::unordered_map<Symbol, Sequence> globals;
-  const Op* root = nullptr;    // what every unit evaluates
+  const Op* split = nullptr;   // what every unit evaluates
   const Op* source = nullptr;  // the op a unit's slice replaces
-  std::unordered_map<const Op*, JoinBuild> builds;  // driving-scan mode
+  std::unordered_map<const Op*, JoinBuild> builds;
   GuardLimits unit_limits;
   CancellationToken abort;
   std::vector<Unit> units;
@@ -156,11 +150,8 @@ void RunUnit(const Shared& sh, Unit* u) {
   PartitionSlice slice;
   slice.source = sh.source;
   slice.items = u->items;
-  slice.range_split = u->range_split;
-  slice.range_lo = u->lo;
-  slice.range_hi = u->hi;
   ev.set_partition_slice(&slice);
-  u->result = ev.EvalItems(*sh.root, EvalCtx{});
+  u->result = ev.EvalItems(*sh.split, EvalCtx{});
   u->stats = ev.stats();
   u->stats.doc_store.Add(wctx.doc_store_stats());
   u->guard_steps = guard.steps_taken();
@@ -270,10 +261,8 @@ Result<Sequence> Recombine(Shared* sh, QueryGuard* parent,
       if (!s.ok()) final_status = s;
     }
     total->parallel_partitions++;
-    if (u.range_split != nullptr) total->parallel_range_splits++;
     if (u.stolen) total->parallel_steals++;
   }
-  total->parallel_merges++;
 
   if (final_status.ok()) {
     // First error wins, by unit order — the serial run would have failed
@@ -292,8 +281,8 @@ Result<Sequence> Recombine(Shared* sh, QueryGuard* parent,
   }
   if (!final_status.ok()) return final_status;
 
-  // Unit key ranges are disjoint and increasing and every unit's output is
-  // internally ordered, so the merge is an ordered concatenation.
+  // Units cover contiguous, increasing ranges of the source, so the merge
+  // is an ordered concatenation.
   Sequence out;
   size_t n = 0;
   for (const Unit& u : sh->units) n += u.result.value().size();
@@ -306,101 +295,40 @@ Result<Sequence> Recombine(Shared* sh, QueryGuard* parent,
   return out;
 }
 
-/// Collection mode (shapes A and B): partitions fn:collection's member
-/// documents.
-bool ExecuteCollection(const CompiledQuery& query, DynamicContext* ctx,
-                       const ExecOptions& options, size_t parallelism,
-                       QueryGuard* parent, ExecStats* stats,
-                       Result<Sequence>* result) {
-  const ParallelPlanInfo& info = query.parallel;
-  // The driver evaluator owns everything with serial error semantics:
-  // prolog globals and the collection scan itself run here, exactly as the
-  // serial plan would run them first.
-  PlanEvaluator driver(&query, ctx, options);
-  auto finish = [&](Result<Sequence> r, ExecStats s) {
-    *stats = std::move(s);
-    *result = std::move(r);
-    return true;
-  };
-  Status globals_status = driver.PrepareGlobals();
-  if (!globals_status.ok()) return finish(globals_status, driver.stats());
-  Result<Sequence> src = driver.EvalItems(*info.source, EvalCtx{});
-  if (!src.ok()) return finish(src.status(), driver.stats());
-
-  // Late (dynamic) fallback: finish serially on the driver evaluator —
-  // globals are prepared and the collection scan is cached in the
-  // execution context, so nothing is double-charged beyond the cached
-  // re-read of the scan op.
-  auto serial = [&]() {
-    Result<Sequence> r = driver.EvalItems(*query.plan, EvalCtx{});
-    ExecStats s = driver.stats();
-    s.parallel_fallbacks = 1;
-    return finish(std::move(r), std::move(s));
-  };
-
-  const Sequence& docs = src.value();
-  for (const Item& it : docs) {
-    if (!it.IsNode()) return serial();
-  }
-  if (docs.empty()) return serial();
-
-  // ---- partition ----
-  std::vector<Unit> units;
-  size_t ndocs = docs.size();
-  if (info.range_split != nullptr && ndocs < parallelism) {
-    // Fewer documents than threads and the plan supports intra-document
-    // splitting: cut each document's pre-order interval span into even
-    // ranges (~2 units per thread for balance under work stealing).
-    size_t per_doc = (2 * parallelism + ndocs - 1) / ndocs;
-    for (const Item& it : docs) {
-      uint64_t lo = it.node()->start;
-      uint64_t end = it.node()->end;
-      uint64_t span = end - lo + 1;
-      size_t r = static_cast<size_t>(
-          std::min<uint64_t>(static_cast<uint64_t>(per_doc), span));
-      for (size_t i = 0; i < r; i++) {
-        Unit u;
-        u.items = Sequence{it};
-        u.range_split = info.range_split;
-        u.lo = lo + span * i / r;
-        u.hi = (i + 1 == r) ? end + 1 : lo + span * (i + 1) / r;
-        units.push_back(std::move(u));
-      }
+/// How many units to cut `source` into; fewer than two means the driver
+/// finishes serially.
+size_t UnitCount(const ParallelPlanInfo& info, const Sequence& source,
+                 size_t parallelism) {
+  size_t most = parallelism * kUnitsPerThread;
+  if (info.by_document) {
+    for (const Item& it : source) {
+      if (!it.IsNode()) return 0;
     }
-  } else {
-    // Doc-granular: contiguous ordinal ranges, a few units per thread so
-    // uneven documents still balance.
-    size_t nunits = std::min(ndocs, parallelism * 4);
-    for (size_t i = 0; i < nunits; i++) {
-      size_t b = ndocs * i / nunits;
-      size_t e = ndocs * (i + 1) / nunits;
-      Unit u;
-      u.items.assign(docs.begin() + static_cast<ptrdiff_t>(b),
-                     docs.begin() + static_cast<ptrdiff_t>(e));
-      units.push_back(std::move(u));
-    }
+    return std::min(source.size(), most);
   }
-  if (units.size() < 2) return serial();
-
-  std::shared_ptr<Shared> sh = MakeShared(query, ctx, options, driver, parent);
-  sh->root = query.plan.get();
-  sh->source = info.source;
-  sh->units = std::move(units);
-  FanOut(sh, parent, parallelism);
-  ExecStats total = driver.stats();
-  // Collection units split the whole plan: no fixed cost repeats per unit.
-  Result<Sequence> out = Recombine(sh.get(), parent, Unit{}, &total);
-  return finish(std::move(out), std::move(total));
+  // A chain with fewer joins does too little work per row to pay for a
+  // fan-out (EXPERIMENTS.md, "Driving-scan split").
+  if (info.builds.size() < kMinJoinsPerSplit) return 0;
+  return std::min(most, source.size() / kMinRowsPerUnit);
 }
 
-/// Driving-scan mode (shape C): runs the whole plan on the driver, and at
-/// the split MapToItem evaluates the driving scan, builds the join right
-/// sides once, and fans row ranges of the scan out as units.
-bool ExecuteDrivingScan(const CompiledQuery& query, DynamicContext* ctx,
-                        const ExecOptions& options, size_t parallelism,
-                        QueryGuard* parent, ExecStats* stats,
-                        Result<Sequence>* result) {
+}  // namespace
+
+void SetUnitHookForTest(UnitHook hook) {
+  std::lock_guard<std::mutex> lk(g_unit_hook_mu);
+  g_unit_hook = std::move(hook);
+}
+
+bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
+                        const ExecOptions& options, int parallelism,
+                        ExecStats* stats, Result<Sequence>* result) {
   const ParallelPlanInfo& info = query.parallel;
+  if (!info.eligible || parallelism < 2) return false;
+  QueryGuard* parent = ctx->guard();
+  if (parent == nullptr) parent = UnlimitedGuard();
+  // Start the pool before the driver's serial prefix, so that a process's
+  // first parallel query finds its helpers idle by the time it fans out.
+  TaskPool::Global();
   PlanEvaluator driver(&query, ctx, options);
   ExecStats units_total;
   PartitionSlice hook;
@@ -408,21 +336,17 @@ bool ExecuteDrivingScan(const CompiledQuery& query, DynamicContext* ctx,
   hook.run = [&]() -> Result<Sequence> {
     // Everything before the split — prolog globals, siblings of the split
     // under the root constructors — has run on the driver in serial order.
-    XQC_ASSIGN_OR_RETURN(Sequence rows,
+    XQC_ASSIGN_OR_RETURN(Sequence source,
                          driver.EvalItems(*info.source, EvalCtx{}));
-    // A chain with fewer joins does too little work per row to pay for
-    // a fan-out (EXPERIMENTS.md, "Driving-scan split").
-    size_t nunits = info.builds.size() < kMinJoinsPerSplit
-                        ? 0
-                        : std::min(parallelism * kUnitsPerThread,
-                                   rows.size() / kMinRowsPerUnit);
+    size_t nunits =
+        UnitCount(info, source, static_cast<size_t>(parallelism));
     if (nunits < 2) {
-      // Too few rows or joins to pay for a fan-out: finish serially over
-      // the rows already evaluated, so the scan is charged once.
+      // Finish serially over the source already evaluated, so it is
+      // charged once.
       units_total.parallel_fallbacks = 1;
       PartitionSlice scan;
       scan.source = info.source;
-      scan.items = std::move(rows);
+      scan.items = std::move(source);
       driver.set_partition_slice(&scan);
       Result<Sequence> r = driver.EvalItems(*info.split, EvalCtx{});
       driver.set_partition_slice(nullptr);
@@ -437,23 +361,28 @@ bool ExecuteDrivingScan(const CompiledQuery& query, DynamicContext* ctx,
     }
     std::shared_ptr<Shared> sh =
         MakeShared(query, ctx, options, driver, parent);
-    sh->root = info.split;
+    sh->split = info.split;
     sh->source = info.source;
     sh->builds = std::move(builds);
     sh->units.resize(nunits);
     for (size_t i = 0; i < nunits; i++) {
-      size_t b = rows.size() * i / nunits;
-      size_t e = rows.size() * (i + 1) / nunits;
-      sh->units[i].items.assign(rows.begin() + static_cast<ptrdiff_t>(b),
-                                rows.begin() + static_cast<ptrdiff_t>(e));
+      size_t b = source.size() * i / nunits;
+      size_t e = source.size() * (i + 1) / nunits;
+      sh->units[i].items.assign(source.begin() + static_cast<ptrdiff_t>(b),
+                                source.begin() + static_cast<ptrdiff_t>(e));
     }
-    // Every unit drains the chain once (the split's own check, end-of-
-    // stream steps, one execution per GroupBy); the serial run does that
-    // once in all. A unit over no rows measures exactly that fixed cost.
+    // Every unit runs the split once (its checks, end-of-stream steps, one
+    // execution per GroupBy); the serial run does that once in all. A unit
+    // over an empty range measures exactly that fixed cost.
     Unit overhead;
     RunUnit(*sh, &overhead);
     if (!overhead.result.ok()) return overhead.result.status();
-    FanOut(sh, parent, parallelism);
+    // Not so for the path steps of a document cut: each unit runs them
+    // once, and how a step discharges DDO depends on its input (a unit's
+    // documents sort or verify where the empty unit counts a singleton
+    // skip). Those counters report what the units did.
+    overhead.stats.tree_join = TreeJoinStats{};
+    FanOut(sh, parent, static_cast<size_t>(parallelism));
     return Recombine(sh.get(), parent, overhead, &units_total);
   };
   driver.set_partition_slice(&hook);
@@ -463,33 +392,6 @@ bool ExecuteDrivingScan(const CompiledQuery& query, DynamicContext* ctx,
   *stats = std::move(s);
   *result = std::move(r);
   return true;
-}
-
-}  // namespace
-
-void SetUnitHookForTest(UnitHook hook) {
-  std::lock_guard<std::mutex> lk(g_unit_hook_mu);
-  g_unit_hook = std::move(hook);
-}
-
-bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
-                        const ExecOptions& options, int parallelism,
-                        ExecStats* stats, Result<Sequence>* result) {
-  const ParallelPlanInfo& info = query.parallel;
-  if (!info.eligible || info.source == nullptr || parallelism < 2) {
-    return false;
-  }
-  QueryGuard* parent = ctx->guard();
-  if (parent == nullptr) parent = UnlimitedGuard();
-  // Start the pool before the driver's serial prefix, so that a process's
-  // first parallel query finds its helpers idle by the time it fans out.
-  TaskPool::Global();
-  size_t want = static_cast<size_t>(parallelism);
-  if (info.split != nullptr) {
-    return ExecuteDrivingScan(query, ctx, options, want, parent, stats,
-                              result);
-  }
-  return ExecuteCollection(query, ctx, options, want, parent, stats, result);
 }
 
 }  // namespace xqc

@@ -2,38 +2,29 @@
 // order-preserving recombination (DESIGN.md "Intra-query parallelism").
 //
 // The parallel executor takes a plan that AnalyzeParallel (src/opt/
-// parallel_infer.h) marked eligible and cuts it into units in one of two
-// ways:
+// parallel_infer.h) marked eligible and cuts it in one way. The driver runs
+// the plan itself; when it reaches the split op it evaluates the split's
+// source once — a collection's member documents or a driving scan's rows —
+// builds every join's right side and Figure 6 index once, and cuts the
+// source into contiguous ranges:
 //
-//   * Collection mode (shapes A and B): a pointwise pipeline over a
-//     Call[fn:collection] scan. The driver resolves the collection once
-//     (so enumeration / load errors surface exactly as in the serial run)
-//     and partitions the member documents into contiguous ordinal ranges —
-//     and, when there are fewer documents than requested threads and the
-//     plan allows it, splits large documents further by pre-order interval
-//     ranges of the single downward TreeJoin's output. Each unit runs the
-//     whole plan.
-//   * Driving-scan mode (shape C): a flat Join / LOuterJoin / GroupBy
-//     chain under a MapToItem split point, driven by one IN-free scan. The
-//     driver runs the plan itself; when it reaches the split it evaluates
-//     the driving scan once, builds every join's right side and Figure 6
-//     index once, and cuts the scan's rows into contiguous ranges of at
-//     least kMinRowsPerUnit rows (kUnitsPerThread per thread at most). A
-//     chain with fewer than kMinJoinsPerSplit joins stays serial: its
-//     per-row work is too small. Each
-//     unit runs the split MapToItem over its range against the shared,
-//     read-only builds; the driver keeps the builds alive until every unit
-//     is done, so no unit ever sees a build table as unshared (construct.h
-//     adoption, Tuple::Take). Too few rows: the driver finishes serially
-//     over the rows it already has (ExecStats::parallel_fallbacks).
+//   * documents: min(ndocs, kUnitsPerThread per thread) units, each of one
+//     or more whole member documents;
+//   * rows: at most kUnitsPerThread units per thread of at least
+//     kMinRowsPerUnit rows each, and only for chains with at least
+//     kMinJoinsPerSplit joins: with fewer, the per-row work is too small.
 //
-// Both modes then share one driver:
+// Fewer than two units (one document, too few rows or joins, a member that
+// is not a node): the driver finishes serially over the source it already
+// has (ExecStats::parallel_fallbacks). Otherwise:
 //
-//   1. each unit is an independent plan evaluation with a PartitionSlice
-//      installed (runtime/eval.h), run on a process-wide TaskPool shared by
-//      every parallel query (QueryService traffic included); the driver
-//      thread always participates, so progress never depends on pool
-//      capacity,
+//   1. each unit is an independent evaluation of the split over its range
+//      (a PartitionSlice, runtime/eval.h) against the shared, read-only
+//      builds, run on a process-wide TaskPool shared by every parallel
+//      query (QueryService traffic included); the driver thread always
+//      participates, so progress never depends on pool capacity, and it
+//      keeps the builds alive until every unit is done, so no unit ever
+//      sees a build table as unshared (construct.h adoption, Tuple::Take),
 //   2. each unit gets a guard slice: a private QueryGuard carrying the
 //      parent's *remaining* deadline / memory / step budgets plus a shared
 //      abort token — the first real error (or a parent-guard trip observed
@@ -41,22 +32,17 @@
 //      the siblings, and
 //   3. recombination re-charges per-unit guard usage to the parent in unit
 //      order (so XQC0003/XQC0006 trips fire just like the serial run) and
-//      concatenates unit outputs in unit order. A driving-scan unit pays
-//      the chain's fixed cost (the split's check, end-of-stream steps, one
-//      execution per GroupBy) that the serial run pays once; a unit over no
-//      rows measures it and recombination deducts it from every unit but
-//      the first, so the summed ExecStats and guard steps equal the serial
+//      concatenates unit outputs in unit order. Every unit pays the split's
+//      fixed cost (its checks, end-of-stream steps, one execution per
+//      GroupBy) that the serial run pays once; a unit over an empty range
+//      measures it and recombination deducts it from every unit but the
+//      first, so the summed ExecStats and guard steps equal the serial
 //      run's.
 //
-// The merge is a degenerate — and therefore trivially stable — k-way merge.
-// In collection mode ResolveCollection guarantees ordinal-increasing
-// interval blocks and units are built over increasing (ordinal, pre-range)
-// keys, so every item of unit i precedes every item of unit i+1 in document
-// order. In driving-scan mode every operator of the chain maps the
-// concatenation of the units' row streams to the concatenation of their
-// outputs (parallel_infer.h, shape C). Either way the merge is an ordered
-// concatenation, which is what makes `--parallelism N` byte-identical to
-// the serial oracle at every N.
+// The merge is an ordered concatenation: every operator of the split maps
+// the concatenation of the units' ranges to the concatenation of their
+// outputs (parallel_infer.h), which is what makes `--parallelism N`
+// byte-identical to the serial oracle at every N.
 #ifndef XQC_RUNTIME_PARALLEL_H_
 #define XQC_RUNTIME_PARALLEL_H_
 
@@ -107,32 +93,30 @@ class TaskPool {
   std::vector<std::thread> threads_;
 };
 
-/// Driving-scan mode fans out only chains with at least this many joins:
-/// each driving row then probes several build sides and builds nested
+/// A row cut fans out only chains with at least this many joins: each
+/// driving row then probes several build sides and builds nested
 /// constructors. With fewer, the units' share of the query is too small
 /// for the extra CPU of running concurrently (EXPERIMENTS.md,
 /// "Driving-scan split").
 inline constexpr size_t kMinJoinsPerSplit = 2;
-/// Driving-scan mode fans out only when every unit gets at least this many
-/// driving rows, so scans of fewer than 32 rows, whose whole query costs
-/// about as much as a fan-out, stay serial. It is the largest value that
-/// still gives N4's 150 rows two or more units per thread at parallelism
-/// 4 (EXPERIMENTS.md, "Driving-scan split").
+/// A row cut fans out only when every unit gets at least this many driving
+/// rows, so scans of fewer than 32 rows, whose whole query costs about as
+/// much as a fan-out, stay serial. It is the largest value that still
+/// gives N4's 150 rows two or more units per thread at parallelism 4
+/// (EXPERIMENTS.md, "Driving-scan split").
 inline constexpr size_t kMinRowsPerUnit = 16;
-/// Driving-scan mode cuts at most this many units per thread: per-row work
-/// varies (N4's 150 authors have 1 to 15 papers each), and idle helpers
-/// take the remaining small units.
+/// At most this many units per thread: per-unit work varies (N4's 150
+/// authors have 1 to 15 papers each, collection members differ in size),
+/// and idle helpers take the remaining small units.
 inline constexpr size_t kUnitsPerThread = 4;
 
-/// Executes an eligible compiled plan with up to `parallelism` concurrent
-/// partitions. Requires: `query.parallel.eligible`, `parallelism > 1`, and
-/// a context with the execution guard already installed (the engine's
-/// ScopedGuard). Returns true when it handled the execution — `*result` and
-/// `*stats` are complete, including the case where it decided at runtime
-/// (too few units, non-node collection members) to finish serially on the
-/// driver evaluator (counted in ExecStats::parallel_fallbacks). Returns
-/// false only on static ineligibility, in which case nothing was evaluated
-/// and the caller must run the normal serial path.
+/// Executes a compiled plan with up to `parallelism` concurrent partitions.
+/// Requires a context with the execution guard already installed (the
+/// engine's ScopedGuard). Returns false, having evaluated nothing, when the
+/// plan is statically ineligible or `parallelism` < 2: the caller then runs
+/// the normal serial path. Otherwise `*result` and `*stats` are complete,
+/// including when the driver decided at runtime to finish serially (fewer
+/// than two units; counted in ExecStats::parallel_fallbacks).
 bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
                         const ExecOptions& options, int parallelism,
                         ExecStats* stats, Result<Sequence>* result);

@@ -354,7 +354,7 @@ TEST_F(ParallelTest, EligibilityAcceptsCollectionScans) {
         Analyze("fn:collection(\"d\")//item", &q);
     EXPECT_TRUE(p.eligible) << p.reason;
     EXPECT_NE(p.source, nullptr);
-    EXPECT_NE(p.range_split, nullptr) << "single descendant step splits";
+    EXPECT_TRUE(p.by_document);
   }
   {
     const ParallelPlanInfo& p = Analyze(
@@ -369,12 +369,11 @@ TEST_F(ParallelTest, EligibilityAcceptsCollectionScans) {
     EXPECT_TRUE(p.eligible) << p.reason;
   }
   {
-    // Two TreeJoins: doc-granular only, no intra-doc range splitting.
+    // Any TreeJoin chain is cut by document, under a constructor too.
     const ParallelPlanInfo& p =
-        Analyze("fn:collection(\"d\")//open_auction/bidder", &q);
-    if (p.eligible) {
-      EXPECT_EQ(p.range_split, nullptr);
-    }
+        Analyze("<r>{fn:collection(\"d\")//open_auction/bidder}</r>", &q);
+    EXPECT_TRUE(p.eligible) << p.reason;
+    EXPECT_TRUE(p.by_document);
   }
 }
 
@@ -412,21 +411,67 @@ TEST_F(ParallelTest, EligibilityRejectsOrderSensitiveShapes) {
 // Parallel execution: byte parity with the serial oracle
 // ---------------------------------------------------------------------------
 
+/// The ExecStats a document cut reproduces exactly: everything the plan
+/// does (guard steps and memory, scans, joins, GroupBys, constructors, path
+/// steps), but not how it was scheduled.
+std::string DocumentCutStats(const ExecStats& s) {
+  return "guard_steps=" + std::to_string(s.guard_steps) +
+         " peak_memory=" + std::to_string(s.peak_memory_bytes) +
+         " source_tuples=" + std::to_string(s.source_tuples) +
+         " hash=" + std::to_string(s.hash_joins) +
+         " sort=" + std::to_string(s.sort_joins) +
+         " range=" + std::to_string(s.range_joins) +
+         " nl=" + std::to_string(s.nested_loop_joins) +
+         " composite=" + std::to_string(s.composite_joins) +
+         " specialized=" + std::to_string(s.specialized_joins) +
+         " reuses=" + std::to_string(s.join_index_reuses) +
+         " group_bys=" + std::to_string(s.group_bys) +
+         " copied=" + std::to_string(s.nodes_copied) +
+         " adopted=" + std::to_string(s.nodes_adopted) +
+         " early_stops=" + std::to_string(s.streaming_early_stops) +
+         " index_lookups=" + std::to_string(s.tree_join.index_lookups);
+}
+
+/// A row cut also reproduces how the path steps discharged DDO. A document
+/// cut runs each path step once per unit, on that unit's documents, so
+/// there the step sorts or skips per unit rather than once over all
+/// members.
+std::string WorkStats(const ExecStats& s) {
+  return DocumentCutStats(s) +
+         " ddo_sorts=" + std::to_string(s.tree_join.ddo_sorts) +
+         " skip_static=" + std::to_string(s.tree_join.ddo_skip_static) +
+         " skip_singleton=" + std::to_string(s.tree_join.ddo_skip_singleton);
+}
+
 TEST_F(ParallelTest, SweepMultiDocCorpusAcrossParallelismLevels) {
   MakeCorpus(6, 4);
-  const std::string queries[] = {
-      "fn:collection(\"" + dir_ + "\")//item",
-      "for $i in fn:collection(\"" + dir_ + "\")//item return "
-          "string($i/@id)",
-      "for $i in fn:collection(\"" + dir_ + "\")//item "
-          "where number($i/@id) mod 2 = 0 return $i",
-      "fn:count(fn:collection(\"" + dir_ + "\")//item)",  // fallback path
+  const std::string coll = "fn:collection(\"" + dir_ + "\")";
+  const struct {
+    std::string query;
+    bool splits;  // cut by document; otherwise statically ineligible
+  } cases[] = {
+      {coll + "//item", true},
+      {"<r>{" + coll + "//item}</r>", true},
+      // The parent step needs a DDO sort in every unit.
+      {coll + "//item/..", true},
+      {"for $i in " + coll + "//item return string($i/@id)", true},
+      {"for $i in " + coll + "//item where number($i/@id) mod 2 = 0 "
+           "return $i",
+       true},
+      // The nested block unnests into an outer join and a GroupBy keyed
+      // on the driving scan.
+      {"for $i in " + coll + "//item return <r>{ for $k in (0 to 30) "
+           "where $k = number($i/@id) return <k>{$k}</k> }</r>",
+       true},
+      {"fn:count(" + coll + "//item)", false},
   };
-  for (const std::string& query : queries) {
+  for (const auto& [query, splits] : cases) {
     DocumentStore store(FastOptions());
-    EngineOptions serial;
+    // The first run parses the members and builds their structural
+    // indexes, charged to its guard: warm the store first.
+    Run(query, EngineOptions{}, &store);
     ExecStats sstats;
-    std::string oracle = Run(query, serial, &store, &sstats);
+    std::string oracle = Run(query, EngineOptions{}, &store, &sstats);
     ASSERT_NE(oracle.substr(0, 6), "ERROR:") << query << ": " << oracle;
     EXPECT_EQ(sstats.parallel_partitions, 0);
     for (int n : {2, 4}) {
@@ -435,16 +480,19 @@ TEST_F(ParallelTest, SweepMultiDocCorpusAcrossParallelismLevels) {
       ExecStats pstats;
       std::string got = Run(query, par, &store, &pstats);
       EXPECT_EQ(got, oracle) << query << " at parallelism " << n;
-      EXPECT_TRUE(pstats.parallel_partitions > 0 ||
-                  pstats.parallel_fallbacks > 0)
+      EXPECT_EQ(DocumentCutStats(pstats), DocumentCutStats(sstats))
+          << query << " at parallelism " << n;
+      EXPECT_EQ(pstats.parallel_partitions > 0, splits)
+          << query << " at parallelism " << n;
+      EXPECT_EQ(pstats.parallel_fallbacks, splits ? 0 : 1)
           << query << " at parallelism " << n;
     }
   }
 }
 
-TEST_F(ParallelTest, RangeSplitsOneLargeDocumentByteIdentically) {
-  // One document, many items: partitioning must fall back to pre-order
-  // range splitting of the single descendant step.
+TEST_F(ParallelTest, OneDocumentCollectionRunsSerially) {
+  // A document is the smallest unit of a collection cut: one large member
+  // gives one unit, so the driver finishes serially.
   std::string body = "<doc>";
   for (int i = 0; i < 300; i++) {
     body += "<item id=\"" + std::to_string(i) + "\"><v>" +
@@ -456,15 +504,17 @@ TEST_F(ParallelTest, RangeSplitsOneLargeDocumentByteIdentically) {
   const std::string query = "for $i in fn:collection(\"" + dir_ +
                             "\")//item return string($i/v)";
   DocumentStore store(FastOptions());
-  std::string oracle = Run(query, EngineOptions{}, &store);
+  Run(query, EngineOptions{}, &store);
+  ExecStats sstats;
+  std::string oracle = Run(query, EngineOptions{}, &store, &sstats);
   EngineOptions par;
   par.parallelism = 4;
   ExecStats stats;
   std::string got = Run(query, par, &store, &stats);
   EXPECT_EQ(got, oracle);
-  EXPECT_GT(stats.parallel_range_splits, 0);
-  EXPECT_EQ(stats.parallel_fallbacks, 0);
-  EXPECT_EQ(stats.parallel_merges, 1);
+  EXPECT_EQ(WorkStats(stats), WorkStats(sstats));
+  EXPECT_EQ(stats.parallel_partitions, 0);
+  EXPECT_EQ(stats.parallel_fallbacks, 1);
 }
 
 TEST_F(ParallelTest, ParallelMatchesSerialOnXMarkStyleCorpus) {
@@ -531,30 +581,6 @@ TEST_F(ParallelTest, ParallelErrorsMatchSerialErrors) {
 // ---------------------------------------------------------------------------
 // Driving-scan split: flat join / GroupBy plans cut by row ranges
 // ---------------------------------------------------------------------------
-
-/// The ExecStats a split must reproduce exactly: everything the plan does
-/// (guard steps and memory, scans, joins, GroupBys, constructors, path
-/// steps), but not how it was scheduled.
-std::string WorkStats(const ExecStats& s) {
-  return "guard_steps=" + std::to_string(s.guard_steps) +
-         " peak_memory=" + std::to_string(s.peak_memory_bytes) +
-         " source_tuples=" + std::to_string(s.source_tuples) +
-         " hash=" + std::to_string(s.hash_joins) +
-         " sort=" + std::to_string(s.sort_joins) +
-         " range=" + std::to_string(s.range_joins) +
-         " nl=" + std::to_string(s.nested_loop_joins) +
-         " composite=" + std::to_string(s.composite_joins) +
-         " specialized=" + std::to_string(s.specialized_joins) +
-         " reuses=" + std::to_string(s.join_index_reuses) +
-         " group_bys=" + std::to_string(s.group_bys) +
-         " copied=" + std::to_string(s.nodes_copied) +
-         " adopted=" + std::to_string(s.nodes_adopted) +
-         " early_stops=" + std::to_string(s.streaming_early_stops) +
-         " ddo_sorts=" + std::to_string(s.tree_join.ddo_sorts) +
-         " skip_static=" + std::to_string(s.tree_join.ddo_skip_static) +
-         " skip_singleton=" + std::to_string(s.tree_join.ddo_skip_singleton) +
-         " index_lookups=" + std::to_string(s.tree_join.index_lookups);
-}
 
 class DrivingScanTest : public ::testing::Test {
  protected:

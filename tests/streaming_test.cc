@@ -206,6 +206,39 @@ TEST(StreamingEarlyExit, FullScanTouchesEverything) {
   EXPECT_GE(streamed_tuples, kItems);
 }
 
+// `for $x in A to B` produces its integers on demand: a consumer that stops
+// early never pays the op:to builtin's one check per 1024 integers for the
+// rest of the range (filling 10^6 integers takes ~980 steps), and a full
+// pass agrees across modes, across chunk boundaries, on empty ranges and
+// at INT64_MAX.
+TEST(StreamingEarlyExit, RangeProducesIntegersOnDemand) {
+  EngineOptions tight = Streaming();
+  tight.limits.max_eval_steps = 500;
+  EXPECT_EQ(RunWith("exists(for $x in 1 to 1000000 return $x)", tight),
+            "true");
+  EXPECT_EQ(RunWith("(for $x in 1 to 1000000 return $x)[3]", tight), "3");
+  EXPECT_EQ(RunWith("count(for $x in 1 to 1000000 return $x)", tight),
+            "ERROR:XQC0006");
+  for (const char* query :
+       {"sum(for $x in 1 to 5000 return $x)", "for $x in -3 to 2 return $x",
+        "count(for $x in 5 to 3 return $x)", "for $x in () to 3 return $x",
+        "for $x in 1 to \"x\" return $x",
+        "for $x in 9223372036854775806 to 9223372036854775807 return $x"}) {
+    EXPECT_EQ(RunWith(query, Streaming()), RunWith(query, Materialize()))
+        << query;
+  }
+  // All 2^64 integers: the item count saturates instead of wrapping to an
+  // empty range, so the charge trips the memory budget at once.
+  EngineOptions small = Streaming();
+  small.limits.max_memory_bytes = 1 << 20;
+  const std::string all = "(-9223372036854775807 - 1) to 9223372036854775807";
+  EXPECT_EQ(RunWith("count(for $x in " + all + " return $x)", small),
+            "ERROR:XQC0003");
+  EXPECT_EQ(RunWith("count(" + all + ")", small), "ERROR:XQC0003");
+  EXPECT_EQ(RunWith("sum(for $x in 1 to 5000 return $x)", Streaming()),
+            "12502500");
+}
+
 // --- ResultStream: pulling a few items evaluates only a prefix. ---
 
 TEST(ResultStream, PartialPullIsLazy) {
