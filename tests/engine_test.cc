@@ -307,6 +307,36 @@ TEST(EngineApi, ExecStatsCountJoinAlgorithms) {
   }
 }
 
+// The inner join runs once per $i, but its build side does not depend on
+// $i: the equality joins build their index for the first $i and reuse it
+// for the other two. Nested loops build no index.
+TEST(EngineApi, CorrelatedJoinReusesItsBuild) {
+  const std::string q =
+      "for $i in (1 to 3) return <r>{for $a in (1 to 50), $b in (1 to 50) "
+      "where $a = $b and $a > $i return $a}</r>";
+  DynamicContext ctx;
+  const std::string expected = testutil::InterpToString(q);
+  Engine engine;
+  for (ExecMode mode : {ExecMode::kStreaming, ExecMode::kMaterialize}) {
+    for (JoinImpl impl :
+         {JoinImpl::kHash, JoinImpl::kSort, JoinImpl::kNestedLoop}) {
+      EngineOptions opts;
+      opts.exec_mode = mode;
+      opts.join_impl = impl;
+      Result<PreparedQuery> pq = engine.Prepare(q, opts);
+      ASSERT_OK(pq);
+      Result<std::string> r = pq.value().ExecuteToString(&ctx);
+      ASSERT_OK(r);
+      EXPECT_EQ(r.value(), expected);
+      const ExecStats s = pq.value().last_exec_stats();
+      EXPECT_EQ(s.hash_joins, impl == JoinImpl::kHash ? 3 : 0);
+      EXPECT_EQ(s.sort_joins, impl == JoinImpl::kSort ? 3 : 0);
+      EXPECT_EQ(s.nested_loop_joins, impl == JoinImpl::kNestedLoop ? 3 : 0);
+      EXPECT_EQ(s.join_index_reuses, impl == JoinImpl::kNestedLoop ? 0 : 2);
+    }
+  }
+}
+
 TEST(EngineApi, SortFreePathsSkipDistinctDocOrder) {
   Engine engine;
   DynamicContext ctx;

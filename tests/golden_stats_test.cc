@@ -4,7 +4,10 @@
 // deterministic for a given document, so any change to how the runtime
 // steps the guard, accounts memory, pulls source tuples, picks joins,
 // copies constructor content or discharges document order shows up as a
-// diff of tests/golden/paper_exec_stats.txt. On a mismatch the test
+// diff of tests/golden/paper_exec_stats.txt. The last three columns are
+// per query, not per execution: the number of Figure 5 rewrites that
+// fired, the operators in the optimized plan (main plan, globals and
+// functions), and the serialized result's bytes. On a mismatch the test
 // prints the whole actual table; a change that moves a counter on purpose
 // replaces the file with it and says why in CHANGES.md.
 #include <gtest/gtest.h>
@@ -29,9 +32,34 @@ const char kHeader[] =
     "early_stops hash_joins sort_joins range_joins nested_loop_joins "
     "group_bys composite_joins join_index_reuses specialized_joins "
     "nodes_copied nodes_adopted ddo_sorts ddo_dedups ddo_skip_static "
-    "ddo_skip_singleton ddo_skip_verified index_lookups";
+    "ddo_skip_singleton ddo_skip_verified index_lookups rewrites plan_ops "
+    "result_bytes";
 
-std::string Row(const std::string& query, ExecMode mode, const ExecStats& s) {
+int64_t CountOps(const Op& op) {
+  int64_t n = 1;
+  for (const OpPtr& c : op.inputs) n += c ? CountOps(*c) : 0;
+  for (const OpPtr& c : op.deps) n += c ? CountOps(*c) : 0;
+  return n;
+}
+
+int64_t CountPlanOps(const CompiledQuery& q) {
+  int64_t n = CountOps(*q.plan);
+  for (const auto& [name, plan] : q.globals) n += plan ? CountOps(*plan) : 0;
+  for (const auto& [name, fn] : q.functions) n += CountOps(*fn.plan);
+  return n;
+}
+
+int64_t RewriteCount(const OptimizerStats& s) {
+  return s.remove_map + s.insert_product + s.insert_join + s.insert_group_by +
+         s.map_through_group_by + s.remove_duplicate_null +
+         s.insert_outer_join + s.lift_product + s.outer_map_through_group_by +
+         s.push_outer_map + s.split_select + s.index_to_index_step +
+         s.fuse_path_step + s.collapse_descendant;
+}
+
+std::string Row(const std::string& query, ExecMode mode,
+                const PreparedQuery& q, size_t result_bytes) {
+  const ExecStats s = q.last_exec_stats();
   std::ostringstream out;
   out << query << ' '
       << (mode == ExecMode::kStreaming ? "stream" : "mat");
@@ -42,7 +70,9 @@ std::string Row(const std::string& query, ExecMode mode, const ExecStats& s) {
         s.join_index_reuses, s.specialized_joins, s.nodes_copied,
         s.nodes_adopted, s.tree_join.ddo_sorts, s.tree_join.ddo_dedups,
         s.tree_join.ddo_skip_static, s.tree_join.ddo_skip_singleton,
-        s.tree_join.ddo_skip_verified, s.tree_join.index_lookups}) {
+        s.tree_join.ddo_skip_verified, s.tree_join.index_lookups,
+        RewriteCount(q.optimizer_stats()), CountPlanOps(q.compiled()),
+        static_cast<int64_t>(result_bytes)}) {
     out << ' ' << v;
   }
   return out.str();
@@ -57,8 +87,9 @@ void AddRows(const std::string& label, const std::string& query,
     opts.exec_mode = mode;
     Result<PreparedQuery> q = engine.Prepare(query, opts);
     ASSERT_OK(q);
-    ASSERT_OK(q.value().Execute(ctx));
-    rows->push_back(Row(label, mode, q.value().last_exec_stats()));
+    Result<std::string> result = q.value().ExecuteToString(ctx);
+    ASSERT_OK(result);
+    rows->push_back(Row(label, mode, q.value(), result.value().size()));
   }
 }
 
