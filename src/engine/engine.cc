@@ -10,20 +10,6 @@
 
 namespace xqc {
 
-namespace {
-
-ExecOptions ToExecOptions(const EngineOptions& o) {
-  ExecOptions exec;
-  exec.join_impl = o.join_impl;
-  exec.streaming = o.exec_mode == ExecMode::kStreaming;
-  exec.force_sort = o.force_sort;
-  exec.use_doc_index = o.use_doc_index;
-  exec.batch_size = o.batch_size < 1 ? 1 : o.batch_size;
-  return exec;
-}
-
-}  // namespace
-
 Result<Sequence> PreparedQuery::Execute(DynamicContext* ctx) const {
   return Execute(ctx, options_.limits, options_.cancel,
                  options_.fault_injector);
@@ -49,11 +35,10 @@ Result<Sequence> PreparedQuery::Execute(
       return interp.Run();
     }
     Result<Sequence> par{Sequence{}};
-    if (TryExecuteParallel(*compiled_, ctx, ToExecOptions(options_),
-                           options_.parallelism, &stats, &par)) {
+    if (TryExecuteParallel(*compiled_, ctx, options_, &stats, &par)) {
       return par;
     }
-    PlanEvaluator eval(compiled_.get(), ctx, ToExecOptions(options_));
+    PlanEvaluator eval(compiled_.get(), ctx, options_);
     Result<Sequence> inner = eval.Run();
     stats = eval.stats();
     // Parallelism asked for, but the plan is statically ineligible.
@@ -87,7 +72,7 @@ struct ResultStream::Impl {
               options.strict_collections),
         active(ctx->guard()),
         context(ctx),
-        eval(query.get(), ctx, ToExecOptions(options)) {}
+        eval(query.get(), ctx, options) {}
 
   std::shared_ptr<CompiledQuery> query;  // keeps the plan alive
   QueryGuard guard;                      // lives as long as the stream

@@ -37,79 +37,6 @@
 
 namespace xqc {
 
-/// Execution mode for the tuple algebra. Both modes run the same batched
-/// iterators (iterator.h); they differ only in early termination.
-enum class ExecMode {
-  /// Early-terminating consumers (fn:exists, [1] heads, fn:subsequence,
-  /// quantifiers, a partly read ResultStream) stop pulling their input.
-  kStreaming,
-  /// Early termination off: every table is computed in full, and
-  /// ExecuteStream computes the whole result up front.
-  kMaterialize,
-};
-
-struct EngineOptions {
-  /// false: evaluate the normalized Core AST directly (baseline).
-  bool use_algebra = true;
-  /// Apply the Figure 5 rewritings.
-  bool optimize = true;
-  /// Physical join algorithm for Join / LOuterJoin.
-  JoinImpl join_impl = JoinImpl::kHash;
-  /// Early termination on or off (results are identical; see
-  /// ExecOptions::streaming for the error-laziness caveat).
-  ExecMode exec_mode = ExecMode::kStreaming;
-  /// Baseline / oracle mode: TreeJoin always sorts its output, disabling
-  /// both the static DDO annotations and the runtime sort elisions.
-  bool force_sort = false;
-  /// Lazily build and use per-document structural indexes (doc_index.h)
-  /// for descendant / following / preceding axis steps.
-  bool use_doc_index = true;
-  /// Resolve fn:doc through the shared DocumentStore (bounded LRU cache,
-  /// singleflight loading, retry, quarantine — src/store). Off = oracle
-  /// ablation: every execution parses documents directly from disk.
-  bool use_doc_store = true;
-  /// Allow loads to use the store's persistent snapshot tier (a no-op
-  /// unless the store has a snapshot_dir). Off = oracle ablation
-  /// (xqc_shell --no-snapshots): every cold load re-parses the source,
-  /// which must produce byte-identical results.
-  bool use_snapshots = true;
-  /// Tuples moved per batch through the iterators by full consumers
-  /// (ExecOptions::batch_size). 1 = the demand-bound oracle; larger
-  /// values amortize virtual dispatch and guard checks while producing
-  /// byte-identical results, identical ExecStats counters, and identical
-  /// guard trip points. Values < 1 are treated as 1. Ignored by the
-  /// interpreter.
-  int batch_size = 1024;
-  /// Maximum concurrent partitions for intra-query parallelism
-  /// (xqc_shell --parallelism). 1 (default) = strictly serial, the
-  /// byte-identical oracle; serving defaults higher (ServingEngineOptions
-  /// in src/service/query_service.h). With N > 1, eligible plans
-  /// (src/opt/parallel_infer.h) are partitioned by contiguous ranges of
-  /// their split's source — a collection's member documents or a driving
-  /// scan's rows — against join build sides built once and shared.
-  /// Partitions recombine by ordered concatenation
-  /// (src/runtime/parallel.h). Output is byte-identical to the serial run
-  /// at every N, and the summed ExecStats work counters match it;
-  /// ineligible plans, and eligible ones too small to pay for the
-  /// fan-out, run serially (ExecStats::parallel_fallbacks). Values < 1 are
-  /// treated as 1.
-  int parallelism = 1;
-  /// Strict fn:collection mode: any member document failure fails the
-  /// whole collection scan. Default (lenient) skips quarantined /
-  /// malformed / vanished members (see DynamicContext::ResolveCollection).
-  bool strict_collections = false;
-  /// Resource limits enforced during Execute / ExecuteStream (0 fields are
-  /// unlimited). Trips surface as Status::ResourceExhausted with the
-  /// XQC00xx codes in src/base/guard.h.
-  GuardLimits limits = {};
-  /// Cooperative cancellation: create with CancellationToken::Make(), keep
-  /// a copy, and call RequestCancel() from any thread. The running query
-  /// fails with XQC0002 at its next guard check.
-  CancellationToken cancel = {};
-  /// Deterministic guard fault injection (tests only).
-  GuardFaultInjector fault_injector = {};
-};
-
 /// An incrementally pulled query result (PreparedQuery::ExecuteStream).
 /// Holds the executing plan; the DynamicContext passed to ExecuteStream
 /// must outlive it. Pulling fewer items than the full result leaves the

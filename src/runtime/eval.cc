@@ -114,7 +114,7 @@ bool IsIndexableComparison(const Op& pred, const TupleLayout& l,
 }  // namespace
 
 PlanEvaluator::PlanEvaluator(const CompiledQuery* query, DynamicContext* ctx,
-                             const ExecOptions& options)
+                             const EngineOptions& options)
     : query_(query),
       ctx_(ctx),
       options_(options),
@@ -158,7 +158,7 @@ Result<bool> PlanEvaluator::EvalPredicate(const Op& pred, const Tuple& t,
 
 Result<Sequence> PlanEvaluator::EvalItemsLimited(const Op& op, const EvalCtx& c,
                                                  size_t limit) {
-  if (!options_.streaming || limit == kEvalNoLimit) return EvalItems(op, c);
+  if (!streaming() || limit == kEvalNoLimit) return EvalItems(op, c);
   switch (op.kind) {
     case OpKind::kMapToItem:
       return EvalMapToItem(op, c, limit);
@@ -442,7 +442,7 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
       bool want = op.kind == OpKind::kMapSome;
       XQC_ASSIGN_OR_RETURN(TupleIteratorPtr input,
                            OpenTable(*op.inputs[0], c));
-      size_t demand = options_.streaming ? 1 : BatchSize();
+      size_t demand = streaming() ? 1 : BatchSize();
       bool decided = false;
       TupleBatch b;
       while (true) {
@@ -452,7 +452,7 @@ Result<Sequence> PlanEvaluator::EvalItems(const Op& op, const EvalCtx& c) {
           XQC_ASSIGN_OR_RETURN(bool v, EvalPredicate(*op.deps[0], b[i], c));
           decided = v == want;
         }
-        if (decided && options_.streaming) {
+        if (decided && streaming()) {
           input->Close();
           stats_.streaming_early_stops++;
           break;
@@ -883,7 +883,7 @@ Result<Sequence> PlanEvaluator::EvalCall(const Op& op, const EvalCtx& c) {
   // only needs a bounded prefix (argument evaluation order is
   // implementation-defined, so fn:subsequence's bounds evaluate first).
   size_t first_limit = kEvalNoLimit;
-  if (options_.streaming && it == query_->functions.end() &&
+  if (streaming() && it == query_->functions.end() &&
       !op.inputs.empty()) {
     const std::string& n = op.name.str();
     if (n == "fn:exists" || n == "fn:empty") {

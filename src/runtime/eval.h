@@ -31,27 +31,82 @@ enum class JoinImpl {
   kSort,        // ordered-index (B-tree style) variant of Figure 6
 };
 
-struct ExecOptions {
+/// Execution mode for the tuple algebra. Both modes run the same batched
+/// iterators (iterator.h); they differ only in early termination.
+enum class ExecMode {
+  /// Early-terminating consumers (fn:exists, [1] heads, fn:subsequence,
+  /// quantifiers, a partly read ResultStream) stop pulling their input.
+  kStreaming,
+  /// Early termination off: every table is computed in full, and
+  /// ExecuteStream computes the whole result up front. Results are
+  /// identical, except that streaming may skip errors in input suffixes a
+  /// limited consumer never needs (permitted by XQuery's evaluation-order
+  /// rules).
+  kMaterialize,
+};
+
+/// The engine configuration (engine.h), read by the evaluator as it is.
+struct EngineOptions {
+  /// false: evaluate the normalized Core AST directly (baseline).
+  bool use_algebra = true;
+  /// Apply the Figure 5 rewritings.
+  bool optimize = true;
+  /// Physical join algorithm for Join / LOuterJoin.
   JoinImpl join_impl = JoinImpl::kHash;
-  /// Early termination: limited consumers stop pulling once they have the
-  /// prefix they need. Off (materializing mode), every table is computed
-  /// in full. Results are identical except that early termination may
-  /// skip errors in input suffixes a limited consumer never needs
-  /// (permitted by XQuery's evaluation-order rules).
-  bool streaming = false;
-  /// Always discharge TreeJoin's distinct-doc-order postcondition with the
-  /// full sort, ignoring static/dynamic elision (baseline / oracle mode).
+  /// Early termination on or off.
+  ExecMode exec_mode = ExecMode::kStreaming;
+  /// Baseline / oracle mode: TreeJoin always sorts its output, disabling
+  /// both the static DDO annotations and the runtime sort elisions.
   bool force_sort = false;
-  /// Consult (and lazily build) per-document structural indexes for
-  /// descendant / following / preceding steps.
+  /// Lazily build and use per-document structural indexes (doc_index.h)
+  /// for descendant / following / preceding axis steps.
   bool use_doc_index = true;
-  /// Demand of full consumers: the most tuples one NextBatch() call moves
-  /// (values < 1 act as 1). 1 is the demand-bound oracle the batch-size
-  /// parity tests compare against. Limited consumers (fn:exists, EBV
-  /// prefixes, fn:subsequence, quantifiers, the ResultStream cursor)
-  /// always pull one tuple at a time, so early-exit behavior and stats do
-  /// not depend on it.
+  /// Resolve fn:doc through the shared DocumentStore (bounded LRU cache,
+  /// singleflight loading, retry, quarantine — src/store). Off = oracle
+  /// ablation: every execution parses documents directly from disk.
+  bool use_doc_store = true;
+  /// Allow loads to use the store's persistent snapshot tier (a no-op
+  /// unless the store has a snapshot_dir). Off = oracle ablation
+  /// (xqc_shell --no-snapshots): every cold load re-parses the source,
+  /// which must produce byte-identical results.
+  bool use_snapshots = true;
+  /// Demand of full consumers: the most tuples one NextBatch() call moves.
+  /// 1 = the demand-bound oracle; larger values amortize virtual dispatch
+  /// and guard checks while producing byte-identical results, identical
+  /// ExecStats counters, and identical guard trip points. Values < 1 are
+  /// treated as 1. Limited consumers (fn:exists, EBV prefixes,
+  /// fn:subsequence, quantifiers, the ResultStream cursor) always pull one
+  /// tuple at a time, so early-exit behavior and stats do not depend on
+  /// it. Ignored by the interpreter.
   int batch_size = 1024;
+  /// Maximum concurrent partitions for intra-query parallelism
+  /// (xqc_shell --parallelism). 1 (default) = strictly serial, the
+  /// byte-identical oracle; serving defaults higher (ServingEngineOptions
+  /// in src/service/query_service.h). With N > 1, eligible plans
+  /// (src/opt/parallel_infer.h) are partitioned by contiguous ranges of
+  /// their split's source — a collection's member documents or a driving
+  /// scan's rows — against join build sides built once and shared.
+  /// Partitions recombine by ordered concatenation
+  /// (src/runtime/parallel.h). Output is byte-identical to the serial run
+  /// at every N, and the summed ExecStats work counters match it;
+  /// ineligible plans, and eligible ones too small to pay for the
+  /// fan-out, run serially (ExecStats::parallel_fallbacks). Values < 1 are
+  /// treated as 1.
+  int parallelism = 1;
+  /// Strict fn:collection mode: any member document failure fails the
+  /// whole collection scan. Default (lenient) skips quarantined /
+  /// malformed / vanished members (see DynamicContext::ResolveCollection).
+  bool strict_collections = false;
+  /// Resource limits enforced during Execute / ExecuteStream (0 fields are
+  /// unlimited). Trips surface as Status::ResourceExhausted with the
+  /// XQC00xx codes in src/base/guard.h.
+  GuardLimits limits = {};
+  /// Cooperative cancellation: create with CancellationToken::Make(), keep
+  /// a copy, and call RequestCancel() from any thread. The running query
+  /// fails with XQC0002 at its next guard check.
+  CancellationToken cancel = {};
+  /// Deterministic guard fault injection (tests only).
+  GuardFaultInjector fault_injector = {};
 };
 
 /// "No limit" for the limited evaluation entry points.
@@ -151,7 +206,7 @@ struct PartitionSlice {
 class PlanEvaluator {
  public:
   PlanEvaluator(const CompiledQuery* query, DynamicContext* ctx,
-                const ExecOptions& options = {});
+                const EngineOptions& options);
 
   /// Evaluates prolog globals (in order) and then the main plan.
   Result<Sequence> Run();
@@ -201,7 +256,6 @@ class PlanEvaluator {
 
   const ExecStats& stats() const { return stats_; }
   ExecStats* mutable_stats() { return &stats_; }
-  const ExecOptions& options() const { return options_; }
 
   /// Installs a partition slice (see PartitionSlice). Non-owning; the
   /// slice must outlive evaluation. nullptr restores normal evaluation.
@@ -244,6 +298,9 @@ class PlanEvaluator {
   /// have been produced.
   Result<Sequence> EvalMapToItem(const Op& op, const EvalCtx& c,
                                  size_t limit);
+  bool streaming() const {
+    return options_.exec_mode == ExecMode::kStreaming;
+  }
   size_t BatchSize() const {
     return options_.batch_size < 1 ? 1
                                    : static_cast<size_t>(options_.batch_size);
@@ -251,7 +308,7 @@ class PlanEvaluator {
 
   const CompiledQuery* query_;
   DynamicContext* ctx_;
-  ExecOptions options_;
+  EngineOptions options_;
   QueryGuard* guard_;  // ctx's guard or the shared unlimited fallback
   std::unordered_map<Symbol, Sequence> globals_;
   bool globals_prepared_ = false;

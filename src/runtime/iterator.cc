@@ -641,7 +641,7 @@ Result<TupleIteratorPtr> PlanEvaluator::OpenTable(const Op& op,
                            OpenTable(*op.inputs[0], c));
       const Op& input = *op.inputs[0];
       int64_t bound = -1;
-      if (options_.streaming && (input.kind == OpKind::kMapIndex ||
+      if (streaming() && (input.kind == OpKind::kMapIndex ||
                                  input.kind == OpKind::kMapIndexStep)) {
         bound = PositionalBound(*op.deps[0], input.name);
       }

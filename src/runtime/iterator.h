@@ -6,9 +6,9 @@
 // prefix of the result — fn:exists, fn:empty, a positional [1] head,
 // fn:subsequence, a quantified expression, the ResultStream cursor —
 // pulls with a demand of one tuple and stops, so the untouched suffix of
-// the input is never evaluated. Full consumers pull ExecOptions::batch_size
-// tuples at a time; materializing a table (PlanEvaluator::EvalTable) is
-// draining its iterator. GroupBy and OrderBy are pipeline breakers that
+// the input is never evaluated. Full consumers pull
+// EngineOptions::batch_size tuples at a time; materializing a table
+// (PlanEvaluator::EvalTable) is draining its iterator. GroupBy and OrderBy are pipeline breakers that
 // materialize behind a TableIter.
 //
 // Guard accounting never depends on the batch: operators credit steps per

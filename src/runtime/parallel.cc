@@ -122,7 +122,7 @@ struct Unit {
 struct Shared {
   const CompiledQuery* query = nullptr;
   const DynamicContext* parent_ctx = nullptr;
-  ExecOptions options;
+  EngineOptions options;
   std::unordered_map<Symbol, Sequence> globals;
   const Op* split = nullptr;   // what every unit evaluates
   const Op* source = nullptr;  // the op a unit's slice replaces
@@ -191,7 +191,7 @@ void DrainUnits(const std::shared_ptr<Shared>& sh, bool on_helper) {
 /// remaining budgets at this point of the execution.
 std::shared_ptr<Shared> MakeShared(const CompiledQuery& query,
                                    const DynamicContext* ctx,
-                                   const ExecOptions& options,
+                                   const EngineOptions& options,
                                    const PlanEvaluator& driver,
                                    QueryGuard* parent) {
   auto sh = std::make_shared<Shared>();
@@ -320,10 +320,11 @@ void SetUnitHookForTest(UnitHook hook) {
 }
 
 bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
-                        const ExecOptions& options, int parallelism,
-                        ExecStats* stats, Result<Sequence>* result) {
+                        const EngineOptions& options, ExecStats* stats,
+                        Result<Sequence>* result) {
   const ParallelPlanInfo& info = query.parallel;
-  if (!info.eligible || parallelism < 2) return false;
+  if (!info.eligible || options.parallelism < 2) return false;
+  const size_t parallelism = static_cast<size_t>(options.parallelism);
   QueryGuard* parent = ctx->guard();
   if (parent == nullptr) parent = UnlimitedGuard();
   // Start the pool before the driver's serial prefix, so that a process's
@@ -338,8 +339,7 @@ bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
     // under the root constructors — has run on the driver in serial order.
     XQC_ASSIGN_OR_RETURN(Sequence source,
                          driver.EvalItems(*info.source, EvalCtx{}));
-    size_t nunits =
-        UnitCount(info, source, static_cast<size_t>(parallelism));
+    size_t nunits = UnitCount(info, source, parallelism);
     if (nunits < 2) {
       // Finish serially over the source already evaluated, so it is
       // charged once.
@@ -382,7 +382,7 @@ bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
     // documents sort or verify where the empty unit counts a singleton
     // skip). Those counters report what the units did.
     overhead.stats.tree_join = TreeJoinStats{};
-    FanOut(sh, parent, static_cast<size_t>(parallelism));
+    FanOut(sh, parent, parallelism);
     return Recombine(sh.get(), parent, overhead, &units_total);
   };
   driver.set_partition_slice(&hook);

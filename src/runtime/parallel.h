@@ -110,16 +110,17 @@ inline constexpr size_t kMinRowsPerUnit = 16;
 /// and idle helpers take the remaining small units.
 inline constexpr size_t kUnitsPerThread = 4;
 
-/// Executes a compiled plan with up to `parallelism` concurrent partitions.
+/// Executes a compiled plan with up to `options.parallelism` concurrent
+/// partitions.
 /// Requires a context with the execution guard already installed (the
 /// engine's ScopedGuard). Returns false, having evaluated nothing, when the
-/// plan is statically ineligible or `parallelism` < 2: the caller then runs
+/// plan is statically ineligible or parallelism < 2: the caller then runs
 /// the normal serial path. Otherwise `*result` and `*stats` are complete,
 /// including when the driver decided at runtime to finish serially (fewer
 /// than two units; counted in ExecStats::parallel_fallbacks).
 bool TryExecuteParallel(const CompiledQuery& query, DynamicContext* ctx,
-                        const ExecOptions& options, int parallelism,
-                        ExecStats* stats, Result<Sequence>* result);
+                        const EngineOptions& options, ExecStats* stats,
+                        Result<Sequence>* result);
 
 /// Tests only: called with the unit's index just before each queued unit
 /// runs, on the thread that runs it (schedule tests delay a unit so it

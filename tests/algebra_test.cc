@@ -18,7 +18,7 @@ using testutil::MustParseXml;
 Result<Sequence> EvalPlan(const OpPtr& plan, DynamicContext* ctx) {
   CompiledQuery q;
   q.plan = plan;
-  PlanEvaluator eval(&q, ctx, {});
+  PlanEvaluator eval(&q, ctx, testutil::kMaterializeOptions);
   return eval.Run();
 }
 
@@ -163,7 +163,7 @@ TEST(AlgebraEval, TreeJoinAndTypeOps) {
                         OpVar(Symbol("d")));
   CompiledQuery q;
   q.plan = OpCall(Symbol("fn:count"), {tj});
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_EQ(r.value()[0].atomic().AsInt(), 2);
@@ -339,7 +339,7 @@ TEST(AlgebraEval, ParseResolvesRegisteredDocuments) {
   parse->inputs = {OpScalar(AtomicValue::String("u.xml"))};
   CompiledQuery q;
   q.plan = parse;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_EQ(SerializeSequence(r.value()), "<u/>");

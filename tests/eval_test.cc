@@ -23,7 +23,7 @@ TEST(EvalContextTest, GlobalsEvaluateInDeclarationOrder) {
   q.plan = OpCall(Symbol("op:plus"),
                   {OpVar(Symbol("a")), OpVar(Symbol("b"))});
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_EQ(r.value()[0].atomic().AsInt(), 22);
@@ -36,14 +36,14 @@ TEST(EvalContextTest, ExternalGlobalsComeFromContext) {
   DynamicContext ctx;
   // Unbound external is an error...
   {
-    PlanEvaluator eval(&q, &ctx, {});
+    PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
     Result<Sequence> r = eval.Run();
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), "XPDY0002");
   }
   // ...bound external resolves.
   ctx.BindVariable(Symbol("x"), {AtomicValue::Integer(9)});
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_EQ(r.value()[0].atomic().AsInt(), 9);
@@ -60,7 +60,7 @@ TEST(EvalContextTest, FunctionParametersShadowGlobals) {
   q.functions.emplace(f.name, f);
   q.plan = OpCall(Symbol("local:f"), {OpScalar(AtomicValue::Integer(42))});
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_EQ(r.value()[0].atomic().AsInt(), 42);
@@ -80,19 +80,19 @@ TEST(EvalContextTest, FunctionArityAndTypeChecks) {
   // Wrong arity.
   q.plan = OpCall(Symbol("local:g"), {});
   {
-    PlanEvaluator eval(&q, &ctx, {});
+    PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
     EXPECT_EQ(eval.Run().status().code(), "XPST0017");
   }
   // Wrong argument type.
   q.plan = OpCall(Symbol("local:g"), {OpScalar(AtomicValue::String("s"))});
   {
-    PlanEvaluator eval(&q, &ctx, {});
+    PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
     EXPECT_EQ(eval.Run().status().code(), "XPTY0004");
   }
   // Return-type violation.
   q.plan = OpCall(Symbol("local:g"), {OpScalar(AtomicValue::Integer(1))});
   {
-    PlanEvaluator eval(&q, &ctx, {});
+    PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
     EXPECT_EQ(eval.Run().status().code(), "XPTY0004");
   }
 }
@@ -101,7 +101,7 @@ TEST(EvalTypingTest, TupleOperatorInItemContextIsInternalError) {
   CompiledQuery q;
   q.plan = OpSelect(OpScalar(AtomicValue::Boolean(true)), OpEmptyTuples());
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();  // Select evaluated as items
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().kind(), StatusKind::kInternal);
@@ -111,7 +111,7 @@ TEST(EvalTypingTest, ItemOperatorInTableContextIsInternalError) {
   CompiledQuery q;
   q.plan = OpMapToItem(OpIn(), OpScalar(AtomicValue::Integer(1)));
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();  // Scalar evaluated as a table
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().kind(), StatusKind::kInternal);
@@ -132,7 +132,7 @@ TEST(EvalErrorsTest, ErrorsInsideDependentsPropagate) {
   q.plan = OpMapToItem(OpInField(Symbol("x")),
                        OpSelect(std::move(pred), std::move(stream)));
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), "FOAR0001");
@@ -152,7 +152,7 @@ TEST(EvalErrorsTest, OrderByMultiItemKeyIsTypeError) {
   CompiledQuery q;
   q.plan = OpMapToItem(OpInField(Symbol("x")), ob);
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   EXPECT_EQ(eval.Run().status().code(), "XPTY0004");
 }
 
@@ -166,7 +166,7 @@ TEST(EvalErrorsTest, GroupByRejectsNonIntegerIndexField) {
   CompiledQuery q;
   q.plan = OpMapToItem(OpInField(Symbol("a")), gb);
   DynamicContext ctx;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().kind(), StatusKind::kInternal);

@@ -16,7 +16,7 @@ namespace {
 Result<Table> RunTable(const OpPtr& plan, DynamicContext* ctx) {
   CompiledQuery q;
   q.plan = plan;  // not used for table eval, but Run needs a plan
-  PlanEvaluator eval(&q, ctx, {});
+  PlanEvaluator eval(&q, ctx, testutil::kMaterializeOptions);
   return eval.EvalTable(*plan, EvalCtx{});
 }
 
@@ -235,7 +235,7 @@ TEST(GroupByTest, StatsCountGroupBys) {
   q.plan = OpCall(Symbol("fn:count"),
                   {OpMapToItem(OpInField(Symbol("a")),
                                Figure4GroupBy(Figure4InputPlan()))});
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   ASSERT_OK(eval.Run());
   EXPECT_EQ(eval.stats().group_bys, 1);
 }

@@ -236,7 +236,7 @@ std::string Eval(const OpPtr& plan) {
   ctx.BindVariable(Symbol("zs"), ints({3, 4, 4, 5}));
   CompiledQuery q;
   q.plan = plan;
-  PlanEvaluator eval(&q, &ctx);
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   return r.ok() ? SerializeSequence(r.value())
                 : "ERROR:" + r.status().code();

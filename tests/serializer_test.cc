@@ -106,7 +106,7 @@ TEST(SerializeOperatorTest, WritesFileAndReturnsEmpty) {
   DynamicContext ctx;
   CompiledQuery q;
   q.plan = ser;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   ASSERT_OK(r);
   EXPECT_TRUE(r.value().empty());  // Serialize(URI, S(i)) -> ()
@@ -126,7 +126,7 @@ TEST(SerializeOperatorTest, ErrorsOnUnwritablePath) {
   DynamicContext ctx;
   CompiledQuery q;
   q.plan = ser;
-  PlanEvaluator eval(&q, &ctx, {});
+  PlanEvaluator eval(&q, &ctx, testutil::kMaterializeOptions);
   Result<Sequence> r = eval.Run();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), "FODC0002");

@@ -7,6 +7,7 @@
 #include "src/algebra/op.h"
 #include "src/base/status.h"
 #include "src/runtime/context.h"
+#include "src/runtime/eval.h"
 #include "src/xml/item.h"
 
 #define ASSERT_OK(expr)                                      \
@@ -23,6 +24,11 @@
 
 namespace xqc {
 namespace testutil {
+
+/// The default engine options in materializing mode: what the tests that
+/// drive PlanEvaluator directly run under.
+inline const EngineOptions kMaterializeOptions = {
+    .exec_mode = ExecMode::kMaterialize};
 
 /// Parses XML, asserting success.
 NodePtr MustParseXml(const std::string& xml);
