@@ -144,7 +144,6 @@ int ChaosMain() {
   opts.admission_wait_ms = 0;
   opts.default_limits.deadline_ms = hot_deadline_ms;
   opts.tenant_max_in_flight = 8;
-  opts.fair_dequeue = true;
   opts.shed_on_dequeue = true;
   opts.predict_admission = true;
   opts.retry_backoff_ms = 2;
@@ -481,7 +480,6 @@ int HttpChaosMain() {
   opts.admission_wait_ms = 0;
   opts.default_limits.deadline_ms = 200;
   opts.tenant_max_in_flight = 8;
-  opts.fair_dequeue = true;
   opts.shed_on_dequeue = true;
   opts.retry_backoff_ms = 2;
   QueryService service(opts);

@@ -286,10 +286,7 @@ int main(int argc, char** argv) {
     sopts.num_threads = threads;
     sopts.engine_options = options;
     sopts.default_limits = options.limits;
-    if (tenant_quota > 0) {
-      sopts.tenant_max_in_flight = tenant_quota;
-      sopts.fair_dequeue = true;
-    }
+    if (tenant_quota > 0) sopts.tenant_max_in_flight = tenant_quota;
     xqc::QueryService service(sopts);
     for (auto& [path, doc] : doc_paths) service.RegisterDocument(path, doc);
     for (auto& [var, doc] : docs) {

@@ -21,6 +21,11 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr auto kNever = Clock::time_point::max();
+/// listen(2) backlog: absorbs connection bursts while the listener is
+/// parked by accept-loop backpressure.
+constexpr int kListenBacklog = 128;
+/// Body-read phase timeout: end of headers -> whole body.
+constexpr int64_t kReadTimeoutMs = 10000;
 
 /// RFC 7230 tchar: the characters legal in a method or header name.
 bool IsTokenChar(char c) {
@@ -388,7 +393,7 @@ Status HttpServer::Start() {
     listen_fd_ = -1;
     return st;
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     Status st = Status::IOError("listen(): " + std::string(strerror(errno)));
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -504,7 +509,6 @@ void HttpServer::RunLoop() {
       const bool at_capacity =
           conns_.size() >= static_cast<size_t>(options_.max_connections);
       const bool queue_saturated =
-          options_.accept_backpressure &&
           service_->queue_depth() >= service_->options().max_queue;
       if (!at_capacity && !queue_saturated) {
         fds.push_back({listen_fd_, POLLIN, 0});
@@ -725,7 +729,7 @@ void HttpServer::AdvanceConn(Conn* conn) {
           conn->in.find("\r\n\r\n") != std::string::npos) {
         conn->state = ConnState::kReadingBody;
         conn->phase_deadline =
-            Clock::now() + std::chrono::milliseconds(options_.read_timeout_ms);
+            Clock::now() + std::chrono::milliseconds(kReadTimeoutMs);
       }
       return;
     case HttpParseVerdict::kBad: {
@@ -842,9 +846,8 @@ void HttpServer::DispatchRequest(Conn* conn, HttpRequest req) {
       *out_val = parsed;
       return true;
     };
-    int64_t deadline = 0, batch = 0, par = 0;
+    int64_t deadline = 0, par = 0;
     if (!parse_int_header("x-xqc-deadline-ms", &deadline) ||
-        !parse_int_header("x-xqc-batch-size", &batch) ||
         !parse_int_header("x-xqc-parallelism", &par)) {
       {
         std::lock_guard<std::mutex> lock(counters_mu_);
@@ -858,7 +861,6 @@ void HttpServer::DispatchRequest(Conn* conn, HttpRequest req) {
       return;
     }
     qreq.limits.deadline_ms = deadline;
-    qreq.batch_size = static_cast<int>(batch);
     qreq.parallelism = static_cast<int>(par);
     if (const std::string* npc = req.FindHeader("x-xqc-no-plan-cache")) {
       qreq.no_plan_cache = (*npc == "1" || ToLower(*npc) == "true");

@@ -5,8 +5,8 @@
 // Endpoints:
 //   POST /query       body = XQuery text; result (or coded error) in the
 //                     response body. Per-request knobs ride in headers:
-//                     X-XQC-Tenant, X-XQC-Deadline-Ms, X-XQC-Batch-Size,
-//                     X-XQC-Parallelism, X-XQC-No-Plan-Cache: 1.
+//                     X-XQC-Tenant, X-XQC-Deadline-Ms, X-XQC-Parallelism,
+//                     X-XQC-No-Plan-Cache: 1.
 //   POST /invalidate  body = query text to drop from the plan cache;
 //                     empty body or "*" empties the cache.
 //   GET  /stats       JSON: service counters, plan-cache stats, HTTP
@@ -117,22 +117,20 @@ struct HttpServerOptions {
   /// the bound port back with port()).
   std::string bind_address = "127.0.0.1";
   int port = 0;
-  int listen_backlog = 128;
 
   /// Connection cap: the listener is not polled while this many
   /// connections are open (accept-loop backpressure; the kernel backlog
-  /// absorbs short bursts).
+  /// absorbs short bursts). Accepting also pauses while
+  /// QueryService::queue_depth() is at the service's max_queue: admission
+  /// saturation pushes back on the socket instead of manufacturing
+  /// instant 429s for everything buffered.
   int max_connections = 256;
-  /// Also pause accepting while QueryService::queue_depth() is at the
-  /// service's max_queue (admission saturation should push back on the
-  /// socket, not manufacture instant 429s for everything buffered).
-  bool accept_backpressure = true;
 
   /// Phase timeouts (ms). header: first request byte -> blank line
-  /// (slowloris defense). read: body. write: whole response. idle:
-  /// keep-alive connection with no request in flight.
+  /// (slowloris defense). write: whole response. idle: keep-alive
+  /// connection with no request in flight. The body read has a fixed
+  /// 10 s timeout.
   int64_t header_timeout_ms = 5000;
-  int64_t read_timeout_ms = 10000;
   int64_t write_timeout_ms = 10000;
   int64_t idle_timeout_ms = 30000;
 

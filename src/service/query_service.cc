@@ -13,6 +13,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// EWMA smoothing factor for the execution-time estimate.
+constexpr double kEwmaAlpha = 0.2;
+/// Byte budget for cached plans (estimates; see EstimatePlanBytes).
+constexpr int64_t kPlanCacheMaxBytes = 64ll << 20;
+/// Seed of the workers' retry-backoff jitter streams (fixed, so a run's
+/// backoffs are reproducible).
+constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
+
 int64_t ElapsedMs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
                                                                since)
@@ -140,15 +148,18 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
   }
 
   // Per-tenant quotas: a hot tenant's burst fails fast with XQC0010
-  // before it can occupy global queue capacity.
-  if (tenant_tracking()) {
-    const std::string& tenant = job->req.tenant;
-    TenantState& ts = tenants_[tenant];
+  // before it can occupy global queue capacity. A tenant without state has
+  // nothing queued or running, so no quota can be exceeded.
+  const std::string& tenant = job->req.tenant;
+  auto tenant_it = tenants_.find(tenant);
+  if (tenant_it != tenants_.end()) {
+    const TenantState& ts = tenant_it->second;
+    const int64_t queued = static_cast<int64_t>(ts.fifo.size());
     const bool over_queued = options_.tenant_max_queued > 0 &&
-                             ts.queued >= options_.tenant_max_queued;
+                             queued >= options_.tenant_max_queued;
     const bool over_in_flight =
         options_.tenant_max_in_flight > 0 &&
-        ts.queued + ts.running >= options_.tenant_max_in_flight;
+        queued + ts.running >= options_.tenant_max_in_flight;
     if (over_queued || over_in_flight) {
       counters_.tenant_rejected++;
       counters_.tenant_rejections[tenant]++;
@@ -156,7 +167,7 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
           kTenantOverQuotaCode,
           "tenant '" + tenant + "' over " +
               (over_queued ? "queued" : "in-flight") + " quota (" +
-              std::to_string(ts.queued) + " queued, " +
+              std::to_string(queued) + " queued, " +
               std::to_string(ts.running) + " running)"));
       return future;
     }
@@ -165,11 +176,10 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
   // Admission-time shedding: when the predicted queue wait alone already
   // exceeds the request's end-to-end budget, admitting it only
   // manufactures a future corpse — reject it now, in microseconds.
-  if (options_.predict_admission && options_.deadline_includes_queue_wait &&
-      ewma_exec_ms_ > 0) {
+  if (options_.predict_admission && ewma_exec_ms_ > 0) {
     GuardLimits merged = MergeLimits(job->req.limits, options_.default_limits);
     if (merged.deadline_ms > 0) {
-      double predicted_wait_ms = static_cast<double>(QueueSizeLocked()) *
+      double predicted_wait_ms = static_cast<double>(queued_) *
                                  ewma_exec_ms_ / options_.num_threads;
       if (predicted_wait_ms > static_cast<double>(merged.deadline_ms)) {
         counters_.rejected_predicted++;
@@ -182,14 +192,12 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
     }
   }
 
-  if (QueueSizeLocked() >= options_.max_queue &&
-      options_.admission_wait_ms > 0) {
+  if (queued_ >= options_.max_queue && options_.admission_wait_ms > 0) {
     space_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.admission_wait_ms), [this] {
-          return shutdown_ || QueueSizeLocked() < options_.max_queue;
-        });
+        lock, std::chrono::milliseconds(options_.admission_wait_ms),
+        [this] { return shutdown_ || queued_ < options_.max_queue; });
   }
-  if (shutdown_ || QueueSizeLocked() >= options_.max_queue) {
+  if (shutdown_ || queued_ >= options_.max_queue) {
     reject(shutdown_ ? "service is shut down"
                      : "admission queue saturated (" +
                            std::to_string(options_.max_queue) +
@@ -203,65 +211,45 @@ std::future<QueryResponse> QueryService::Submit(QueryRequest req) {
   return future;
 }
 
-size_t QueryService::QueueSizeLocked() const {
-  return options_.fair_dequeue ? fair_queued_ : queue_.size();
-}
-
 void QueryService::EnqueueLocked(std::unique_ptr<Job> job) {
-  if (tenant_tracking()) tenants_[job->req.tenant].queued++;
-  if (options_.fair_dequeue) {
-    TenantState& ts = tenants_[job->req.tenant];
-    if (ts.fifo.empty()) rr_.push_back(job->req.tenant);
-    ts.fifo.push_back(std::move(job));
-    fair_queued_++;
-  } else {
-    queue_.push_back(std::move(job));
-  }
+  TenantState& ts = tenants_[job->req.tenant];
+  if (ts.fifo.empty()) rr_.push_back(job->req.tenant);
+  ts.fifo.push_back(std::move(job));
+  queued_++;
 }
 
 std::unique_ptr<QueryService::Job> QueryService::DequeueLocked() {
-  std::unique_ptr<Job> job;
-  if (options_.fair_dequeue) {
-    // Round-robin across tenants with queued work; each tenant's own jobs
-    // stay FIFO. A tenant with a deep backlog gets one slot per cycle, so
-    // the others' shallow queues drain at the same per-tenant rate.
-    if (rr_.empty()) return nullptr;
-    std::string tenant = std::move(rr_.front());
-    rr_.pop_front();
-    TenantState& ts = tenants_[tenant];
-    job = std::move(ts.fifo.front());
-    ts.fifo.pop_front();
-    fair_queued_--;
-    if (!ts.fifo.empty()) rr_.push_back(std::move(tenant));
-  } else {
-    if (queue_.empty()) return nullptr;
-    job = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  if (tenant_tracking()) {
-    TenantState& ts = tenants_[job->req.tenant];
-    ts.queued--;
-    ts.running++;
-  }
+  // Round-robin across tenants with queued work; each tenant's own jobs
+  // stay FIFO. A tenant with a deep backlog gets one slot per cycle, so
+  // the others' shallow queues drain at the same per-tenant rate.
+  std::string tenant = std::move(rr_.front());
+  rr_.pop_front();
+  TenantState& ts = tenants_.at(tenant);
+  std::unique_ptr<Job> job = std::move(ts.fifo.front());
+  ts.fifo.pop_front();
+  queued_--;
+  ts.running++;
+  if (!ts.fifo.empty()) rr_.push_back(std::move(tenant));
   return job;
 }
 
 void QueryService::DrainQueueLocked(std::deque<std::unique_ptr<Job>>* out) {
-  if (options_.fair_dequeue) {
-    while (!rr_.empty()) {
-      TenantState& ts = tenants_[rr_.front()];
-      while (!ts.fifo.empty()) {
-        out->push_back(std::move(ts.fifo.front()));
-        ts.fifo.pop_front();
-      }
-      rr_.pop_front();
+  for (const std::string& tenant : rr_) {
+    TenantState& ts = tenants_.at(tenant);
+    while (!ts.fifo.empty()) {
+      out->push_back(std::move(ts.fifo.front()));
+      ts.fifo.pop_front();
     }
-    fair_queued_ = 0;
-  } else {
-    out->swap(queue_);
+    if (ts.running == 0) tenants_.erase(tenant);
   }
-  if (tenant_tracking()) {
-    for (auto& [tenant, ts] : tenants_) ts.queued = 0;
+  rr_.clear();
+  queued_ = 0;
+}
+
+void QueryService::FinishLocked(const std::string& tenant) {
+  auto it = tenants_.find(tenant);
+  if (--it->second.running == 0 && it->second.fifo.empty()) {
+    tenants_.erase(it);
   }
 }
 
@@ -270,8 +258,7 @@ void QueryService::UpdateEwma(int64_t exec_ms) {
   double sample = static_cast<double>(exec_ms);
   ewma_exec_ms_ = ewma_exec_ms_ <= 0
                       ? sample
-                      : options_.ewma_alpha * sample +
-                            (1 - options_.ewma_alpha) * ewma_exec_ms_;
+                      : kEwmaAlpha * sample + (1 - kEwmaAlpha) * ewma_exec_ms_;
 }
 
 double QueryService::ewma_exec_ms() const {
@@ -281,7 +268,12 @@ double QueryService::ewma_exec_ms() const {
 
 size_t QueryService::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return QueueSizeLocked();
+  return queued_;
+}
+
+size_t QueryService::tenant_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tenants_.size();
 }
 
 QueryService::PlanCacheStats QueryService::plan_cache_stats() const {
@@ -301,14 +293,14 @@ void QueryService::ErasePlanLocked(const std::string& key) {
 }
 
 int64_t QueryService::InvalidatePlan(const std::string& query_text) {
-  // The stored key is "<batch>|<parallelism>|<trimmed text>"; invalidate
-  // every baked-option variant of the text.
+  // The stored key is "<parallelism>|<trimmed text>"; invalidate every
+  // baked-option variant of the text.
   const std::string text = NormalizeQueryKeyText(query_text);
   std::lock_guard<std::mutex> lock(plan_mu_);
   std::vector<std::string> doomed;
   for (const auto& [key, entry] : plans_) {
     if (entry.compiling) continue;
-    const size_t bar = key.rfind('|');
+    const size_t bar = key.find('|');
     if (bar != std::string::npos && key.compare(bar + 1, std::string::npos,
                                                 text) == 0) {
       doomed.push_back(key);
@@ -341,9 +333,8 @@ int64_t QueryService::InvalidateAllPlans() {
 Result<std::shared_ptr<const PreparedQuery>> QueryService::GetOrCompilePlan(
     Job* job, const EngineOptions& opts) {
   // Per-request compile knobs bake into the plan, so they are part of the
-  // identity: "same text, different batch size" is a different plan.
-  const std::string key = std::to_string(opts.batch_size) + "|" +
-                          std::to_string(opts.parallelism) + "|" +
+  // identity: "same text, different parallelism" is a different plan.
+  const std::string key = std::to_string(opts.parallelism) + "|" +
                           NormalizeQueryKeyText(job->req.query_text);
   std::unique_lock<std::mutex> lock(plan_mu_);
   // A request is counted in exactly one stats class: a direct hit, a
@@ -407,8 +398,7 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::GetOrCompilePlan(
         // Enforce both bounds, never evicting the entry just published.
         while (plan_lru_.size() > 1 &&
                (plans_.size() > options_.plan_cache_entries ||
-                (options_.plan_cache_max_bytes > 0 &&
-                 plan_bytes_ > options_.plan_cache_max_bytes))) {
+                plan_bytes_ > kPlanCacheMaxBytes)) {
           ErasePlanLocked(plan_lru_.back());
           plan_stats_.evictions++;
         }
@@ -443,14 +433,13 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::GetOrCompilePlan(
 
 void QueryService::WorkerLoop(size_t worker_index) {
   uint64_t jitter_state =
-      options_.jitter_seed ^ (0x9e3779b97f4a7c15ull * (worker_index + 1));
+      kJitterSeed ^ (0x9e3779b97f4a7c15ull * (worker_index + 1));
   while (true) {
     std::unique_ptr<Job> job;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this] { return shutdown_ || QueueSizeLocked() > 0; });
-      if (QueueSizeLocked() == 0) return;  // shutdown with a drained queue
+      work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
+      if (queued_ == 0) return;  // shutdown with a drained queue
       job = DequeueLocked();
       active_[worker_index] = job->token;
       space_cv_.notify_one();
@@ -459,7 +448,7 @@ void QueryService::WorkerLoop(size_t worker_index) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       active_[worker_index] = CancellationToken();
-      if (tenant_tracking()) tenants_[job->req.tenant].running--;
+      FinishLocked(job->req.tenant);
       if (resp.status.ok()) {
         counters_.completed++;
       } else {
@@ -492,7 +481,6 @@ QueryResponse QueryService::ExecuteOnce(Job* job, const GuardLimits& limits) {
     EngineOptions opts = options_.engine_options;
     opts.limits = limits;
     opts.cancel = job->token;
-    if (job->req.batch_size > 0) opts.batch_size = job->req.batch_size;
     if (job->req.parallelism > 0) opts.parallelism = job->req.parallelism;
     if (options_.plan_cache_entries > 0 && !job->req.no_plan_cache) {
       // Cached path: repeated traffic skips parse/normalize/compile and
@@ -535,7 +523,7 @@ QueryResponse QueryService::ExecuteJob(Job* job, uint64_t* jitter_state) {
   bool queue_exhausted_deadline = false;
   bool ewma_shed = false;
   GuardLimits first_attempt = limits;
-  if (options_.deadline_includes_queue_wait && limits.deadline_ms > 0) {
+  if (limits.deadline_ms > 0) {
     int64_t remaining = limits.deadline_ms - queue_wait_ms;
     if (remaining <= 0) {
       // The whole budget was spent waiting for a worker; fail fast before
@@ -591,8 +579,7 @@ QueryResponse QueryService::ExecuteJob(Job* job, uint64_t* jitter_state) {
   // retried: shedding exists to unload the service, and re-queueing the
   // work it dropped would cancel the relief.
   bool transient =
-      !ewma_shed && options_.retry_transient &&
-      options_.deadline_includes_queue_wait && limits.deadline_ms > 0 &&
+      !ewma_shed && options_.retry_transient && limits.deadline_ms > 0 &&
       resp.status.code() == kGuardTimeoutCode &&
       queue_wait_ms * 4 >= limits.deadline_ms;
   if (!transient) return resp;

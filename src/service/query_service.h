@@ -8,11 +8,14 @@
 //     queue is full it waits up to `admission_wait_ms` for space and then
 //     fast-fails with XQC0007 (kServiceOverloadedCode) instead of queueing
 //     without bound — saturation produces quick, explicit rejections.
-//   * Per-tenant quotas (opt-in): QueryRequest::tenant names the traffic
-//     source; per-tenant in-flight and queued caps fast-fail a hot
-//     tenant's burst with XQC0010 (kTenantOverQuotaCode) at Submit, and
-//     the weighted-fair dequeue serves tenants round-robin so one
-//     tenant's backlog cannot starve the others.
+//   * Round-robin dequeue: QueryRequest::tenant names the traffic source.
+//     Each tenant's queries queue FIFO, and workers serve the tenants with
+//     queued work in turn, so one tenant's backlog cannot starve the
+//     others. Requests without a tenant share one FIFO. A tenant's state
+//     exists only while it has a query queued or running.
+//   * Per-tenant quotas (opt-in): per-tenant in-flight and queued caps
+//     fast-fail a hot tenant's burst with XQC0010 (kTenantOverQuotaCode)
+//     at Submit.
 //   * Deadline-aware load shedding (opt-in): the service keeps an EWMA of
 //     recent execution times. On dequeue, a job whose remaining
 //     end-to-end budget is below that estimate is a corpse — it is failed
@@ -20,10 +23,9 @@
 //     request whose predicted queue wait already exceeds its budget is
 //     rejected with XQC0007 before it ever queues.
 //   * Per-query guards: every execution runs under GuardLimits merged from
-//     the request and the service defaults. With
-//     `deadline_includes_queue_wait` (default), the wall-clock budget is
-//     end-to-end: time spent waiting in the admission queue is deducted
-//     from the execution deadline, so a saturated service cannot silently
+//     the request and the service defaults. The wall-clock budget is end
+//     to end: time spent waiting in the admission queue is deducted from
+//     the execution deadline, so a saturated service cannot silently
 //     stretch latency past the promised bound.
 //   * Transient retry: a query whose deadline tripped *because of queue
 //     congestion* (the queue wait consumed a significant share of the
@@ -78,17 +80,11 @@ struct ServiceOptions {
   int64_t admission_wait_ms = 0;
   /// Per-query defaults; a request's zero (unlimited) fields inherit these.
   GuardLimits default_limits;
-  /// Deduct queue wait from the execution deadline (end-to-end latency
-  /// bound). Also what makes congestion-caused deadline trips recognizably
-  /// transient.
-  bool deadline_includes_queue_wait = true;
   /// Retry a transient (congestion-caused) deadline trip once.
   bool retry_transient = true;
   /// Base backoff before the retry; the actual wait is uniformly jittered
   /// in [base, 2*base) to decorrelate retry storms.
   int64_t retry_backoff_ms = 5;
-  /// Seed for the backoff jitter (deterministic by default for tests).
-  uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
   /// Compilation/execution configuration used for every query. Serving
   /// defaults to intra-query parallelism (ServingEngineOptions): eligible
   /// plans — fn:collection scans and the flat join / GroupBy plans of
@@ -107,29 +103,21 @@ struct ServiceOptions {
   /// tier is engine_options.use_snapshots.
   std::string snapshot_dir;
 
-  // --- Overload resilience (all default-off; with every knob at its
-  // --- default the service behaves exactly like the pre-quota layer).
+  // --- Overload resilience (all default-off).
 
   /// Per-tenant cap on admitted-but-not-finished queries (queued +
   /// running). Exceeding it fast-fails Submit with XQC0010. 0 = unlimited.
   int64_t tenant_max_in_flight = 0;
   /// Per-tenant cap on the queued portion alone. 0 = unlimited.
   int64_t tenant_max_queued = 0;
-  /// Dequeue round-robin across tenants (each tenant's own jobs stay
-  /// FIFO) instead of one global FIFO, so a burst from one tenant cannot
-  /// starve the others' queued work.
-  bool fair_dequeue = false;
   /// On dequeue, fail jobs fast with XQC0001 when the remaining
   /// end-to-end budget is below the EWMA of recent execution times
-  /// (never burn a worker on a corpse). Requires
-  /// deadline_includes_queue_wait.
+  /// (never burn a worker on a corpse).
   bool shed_on_dequeue = false;
   /// At admission, reject with XQC0007 when the predicted queue wait
   /// (queued jobs x EWMA / workers) already exceeds the request's
-  /// deadline. Requires deadline_includes_queue_wait.
+  /// deadline.
   bool predict_admission = false;
-  /// EWMA smoothing factor for the execution-time estimate.
-  double ewma_alpha = 0.2;
   /// Initial EWMA value in ms (0 = no estimate until the first completed
   /// execution). Lets tests and restarts seed the shedding predicate
   /// deterministically.
@@ -142,11 +130,9 @@ struct ServiceOptions {
   /// Max cached compiled plans. 0 disables the cache entirely — the
   /// ablation baseline (xqc_httpd --no-plan-cache): every text request
   /// compiles from scratch, byte-identical to the pre-cache service.
+  /// Exceeding this bound, or a fixed budget of 64 MB of estimated plan
+  /// bytes (PlanCacheStats::bytes), evicts least-recently-used entries.
   size_t plan_cache_entries = 128;
-  /// Byte budget for cached plans (estimates; see PlanCacheStats::bytes).
-  /// 0 = unlimited. Exceeding either bound evicts least-recently-used
-  /// entries.
-  int64_t plan_cache_max_bytes = 64ll << 20;
   /// TTL for negative entries: a deterministic compile failure (parse /
   /// static / not-implemented error) is replayed from the cache for this
   /// long, so a hot bad query cannot compile-bomb the workers. Guard
@@ -169,23 +155,20 @@ struct QueryRequest {
   /// otherwise `query_text` is compiled on the worker.
   std::string query_text;
   std::shared_ptr<const PreparedQuery> prepared;
-  /// Traffic source for per-tenant quotas and fair dequeue. Empty = the
-  /// anonymous default tenant (still a tenant under quotas/fairness).
+  /// Traffic source for per-tenant quotas and the round-robin dequeue.
+  /// Empty = the anonymous default tenant (still a tenant under
+  /// quotas/fairness).
   std::string tenant;
   /// Per-request limits; zero fields inherit ServiceOptions::default_limits.
   GuardLimits limits;
-  /// Per-request streaming batch size (EngineOptions::batch_size); 0
-  /// inherits the service's engine_options. Applies only when the service
-  /// compiles `query_text` — a `prepared` plan's options were baked in at
-  /// Prepare time.
-  int batch_size = 0;
   /// Per-request intra-query parallelism (EngineOptions::parallelism); 0
   /// inherits the service's engine_options (by default the pool width
   /// plus one), 1 runs strictly serially (HTTP: X-XQC-Parallelism: 1).
   /// Partition work runs on the process-wide TaskPool, shared across all
   /// concurrent queries; a busy pool degrades to serial on the worker,
   /// never to queueing. Applies only when the service compiles
-  /// `query_text` (same rule as batch_size).
+  /// `query_text` — a `prepared` plan's options were baked in at Prepare
+  /// time.
   int parallelism = 0;
   /// Optional extra bindings, run on the worker thread against the
   /// query-private context (after shared documents/variables are installed).
@@ -264,6 +247,10 @@ class QueryService {
   /// while the admission queue is saturated).
   size_t queue_depth() const;
 
+  /// Tenants with a query queued or running (the per-tenant state kept;
+  /// a tenant's state is dropped when it has neither).
+  size_t tenant_count() const;
+
   /// Plan-cache counters and current occupancy (all zero with
   /// plan_cache_entries = 0).
   struct PlanCacheStats {
@@ -297,14 +284,11 @@ class QueryService {
     CancellationToken token;  // req.cancel, or a service-made one
   };
 
-  /// Per-tenant admission/fairness bookkeeping (tracked only when quotas
-  /// or fair dequeue are enabled; the map stays empty otherwise so the
-  /// default configuration adds no per-submit work).
+  /// Per-tenant admission/fairness bookkeeping, kept only while the
+  /// tenant has a query queued or running.
   struct TenantState {
-    int64_t queued = 0;   // admitted, still in the queue
+    std::deque<std::unique_ptr<Job>> fifo;  // admitted, still queued
     int64_t running = 0;  // dequeued, executing on a worker
-    std::deque<std::unique_ptr<Job>> fifo;  // fair_dequeue: this tenant's
-                                            // own FIFO
   };
 
   /// One plan-cache slot: exactly one of {compiling, plan, error} is
@@ -336,17 +320,14 @@ class QueryService {
   /// hold plan_mu_.
   void ErasePlanLocked(const std::string& key);
 
-  /// Whether per-tenant bookkeeping is on (any quota or fair dequeue).
-  bool tenant_tracking() const {
-    return options_.tenant_max_in_flight > 0 ||
-           options_.tenant_max_queued > 0 || options_.fair_dequeue;
-  }
-  /// Queue primitives spanning the global FIFO and the fair per-tenant
-  /// FIFOs. Callers hold mu_.
-  size_t QueueSizeLocked() const;
+  /// The admission queue: one FIFO per tenant, served round-robin.
+  /// Callers hold mu_.
   void EnqueueLocked(std::unique_ptr<Job> job);
   std::unique_ptr<Job> DequeueLocked();
   void DrainQueueLocked(std::deque<std::unique_ptr<Job>>* out);
+  /// A dequeued job of `tenant` finished; drops the tenant's state when it
+  /// has nothing else queued or running. Callers hold mu_.
+  void FinishLocked(const std::string& tenant);
   /// Folds a completed execution's duration into the EWMA (takes mu_).
   void UpdateEwma(int64_t exec_ms);
 
@@ -360,10 +341,9 @@ class QueryService {
   std::condition_variable work_cv_;   // queue became non-empty / shutdown
   std::condition_variable space_cv_;  // queue gained space / shutdown
   std::condition_variable shutdown_cv_;  // interrupts retry backoff
-  std::deque<std::unique_ptr<Job>> queue_;  // global FIFO (!fair_dequeue)
   std::unordered_map<std::string, TenantState> tenants_;
-  std::deque<std::string> rr_;   // fair_dequeue: tenants awaiting service
-  size_t fair_queued_ = 0;       // total jobs across tenant FIFOs
+  std::deque<std::string> rr_;  // tenants with queued jobs, in turn order
+  size_t queued_ = 0;           // total jobs across tenant FIFOs
   double ewma_exec_ms_ = 0;      // 0 = no estimate yet
   std::vector<CancellationToken> active_;  // per-worker in-flight token
   std::vector<std::thread> workers_;

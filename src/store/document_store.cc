@@ -21,6 +21,10 @@ namespace xqc {
 
 namespace {
 
+/// Seed of the retry-backoff jitter stream (fixed, so a run's backoffs
+/// are reproducible).
+constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
+
 /// Whether an errno from open/read is worth retrying. Everything else
 /// (ENOENT, ENOTDIR, EACCES, EISDIR, ...) is a permanent verdict for the
 /// current file state and is negative-cached instead.
@@ -224,7 +228,7 @@ DocumentStore::DocumentStore(DocumentStoreOptions options)
       max_bytes_(options.max_bytes),
       breaker_threshold_(options.breaker_threshold),
       brownout_(options.brownout),
-      jitter_state_(options.jitter_seed) {
+      jitter_state_(kJitterSeed) {
   if (!options.snapshot_dir.empty()) set_snapshot_dir(options.snapshot_dir);
 }
 

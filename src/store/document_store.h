@@ -183,8 +183,6 @@ struct DocumentStoreOptions {
   /// Base backoff before retry k is base << (k-1), jittered into
   /// [b, 2b), and always bounded by the caller's remaining deadline.
   int64_t retry_backoff_ms = 2;
-  /// Seed for backoff jitter (deterministic by default for tests).
-  uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
   /// Circuit breaker: consecutive transient-I/O failures against one URI
   /// prefix before its breaker opens and loads fail fast with XQC0011.
   /// 0 disables the breaker entirely (the PR-6 oracle behavior).

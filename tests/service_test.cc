@@ -138,7 +138,6 @@ TEST(ServiceFairDequeue, RoundRobinAcrossTenantsFifoWithin) {
   ServiceOptions opts;
   opts.num_threads = 1;
   opts.max_queue = 16;
-  opts.fair_dequeue = true;
   opts.retry_transient = false;
   QueryService service(opts);
 
@@ -173,6 +172,30 @@ TEST(ServiceFairDequeue, RoundRobinAcrossTenantsFifoWithin) {
   // and A's own jobs stay in submission order.
   std::vector<std::string> want = {"a1", "b1", "c1", "a2", "a3"};
   EXPECT_EQ(pickup_order, want);
+}
+
+// A tenant's state lives only while it has a query queued or running, so
+// a stream of distinct tenant names (any HTTP client can send one per
+// request) leaves nothing behind.
+TEST(ServiceFairDequeue, IdleTenantsLeaveNoState) {
+  ServiceOptions opts;
+  opts.num_threads = 2;
+  opts.max_queue = 64;
+  opts.admission_wait_ms = 60'000;  // block for space instead of rejecting
+  opts.retry_transient = false;
+  QueryService service(opts);
+  constexpr int kTenants = 10'000;
+  std::vector<std::future<QueryResponse>> futures;
+  futures.reserve(kTenants);
+  for (int i = 0; i < kTenants; i++) {
+    QueryRequest req;
+    req.query_text = "1";
+    req.tenant = "tenant-" + std::to_string(i);
+    futures.push_back(service.Submit(std::move(req)));
+  }
+  for (auto& f : futures) EXPECT_EQ(f.get().result, "1");
+  EXPECT_EQ(service.counters().completed, kTenants);
+  EXPECT_EQ(service.tenant_count(), 0u);
 }
 
 // ---- deadline-aware shedding -----------------------------------------------
@@ -374,8 +397,8 @@ TEST(ServiceEwma, TracksCompletedExecutions) {
 
 TEST(ServiceAblation, DefaultOptionsLeaveNewCountersUntouched) {
   // With every overload knob at its default the service must behave like
-  // the pre-quota layer: tenants are accepted but untracked, nothing is
-  // shed or predicted, and the new counters stay zero.
+  // the pre-quota layer: tenants are accepted, nothing is shed or
+  // predicted, and the new counters stay zero.
   ServiceOptions opts;
   opts.num_threads = 2;
   opts.retry_transient = false;
@@ -492,17 +515,17 @@ TEST(PlanCache, StampedeCompilesExactlyOnce) {
   EXPECT_EQ(pc.hits + pc.waiters_coalesced, kThreads - 1);
 }
 
-TEST(PlanCache, BatchAndParallelismKeySeparately) {
-  // batch_size/parallelism bake into the compiled plan, so each effective
-  // combination is its own cache entry — a hit may never change semantics.
+TEST(PlanCache, ParallelismKeysSeparately) {
+  // parallelism bakes into the compiled plan, so each effective value is
+  // its own cache entry — a hit may never change semantics.
   ServiceOptions opts;
   opts.num_threads = 2;
   QueryService service(opts);
   const std::string q = "count(for $i in 1 to 200 return $i)";
-  for (int batch : {0, 64}) {
+  for (int parallelism : {1, 2}) {
     QueryRequest req;
     req.query_text = q;
-    req.batch_size = batch;
+    req.parallelism = parallelism;
     QueryResponse resp = service.Run(std::move(req));
     ASSERT_TRUE(resp.status.ok());
     EXPECT_EQ(resp.result, "200");
@@ -546,6 +569,22 @@ TEST(PlanCache, InvalidationDropsEntriesAndForcesRecompile) {
   ASSERT_TRUE(run("1 + 1").status.ok());
   EXPECT_EQ(service.plan_cache_stats().compiles, 3);  // recompiled
   EXPECT_EQ(service.InvalidateAllPlans(), 2);
+  EXPECT_EQ(service.plan_cache_stats().entries, 0u);
+}
+
+// The cache key prefixes the text with the baked options; a '|' inside
+// the query text must not confuse the invalidation match.
+TEST(PlanCache, InvalidationMatchesTextContainingBar) {
+  ServiceOptions opts;
+  opts.num_threads = 1;
+  QueryService service(opts);
+  const std::string q = "count((<a/> | <b/>))";
+  QueryRequest req;
+  req.query_text = q;
+  QueryResponse resp = service.Run(std::move(req));
+  ASSERT_TRUE(resp.status.ok()) << resp.status.message();
+  EXPECT_EQ(resp.result, "2");
+  EXPECT_EQ(service.InvalidatePlan(q), 1);
   EXPECT_EQ(service.plan_cache_stats().entries, 0u);
 }
 
